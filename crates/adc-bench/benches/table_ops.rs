@@ -1,20 +1,23 @@
-//! Micro-benchmarks for the mapping-table data structures — the
-//! operations Figure 15 of the paper identifies as the time sinks
-//! ("insertion and deletion at the ordered multiple-table", "the
-//! element-wise search within the [single-table] list").
+//! Micro-benchmarks for the mapping tables — the operations Figure 15 of
+//! the paper identifies as the time sinks ("insertion and deletion at the
+//! ordered multiple-table", "the element-wise search within the
+//! [single-table] list"). Every case goes through
+//! `MappingTables::update_entry`, the only way rows move between tables.
 
-use adc_core::tables::{MappingTables, OrderedTable, SingleTable};
-use adc_core::{AgingMode, Location, ObjectId, TableEntry};
+use adc_core::tables::MappingTables;
+use adc_core::{AgingMode, Location, ObjectId};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-fn bench_single_table(c: &mut Criterion) {
+/// First sightings only: every update creates a single-table row and, once
+/// the table is full, forgets the bottom one (Part 4 of `Update_Entry`).
+fn bench_first_sightings(c: &mut Criterion) {
     let mut group = c.benchmark_group("single_table");
     for &size in &[1_000usize, 10_000, 100_000] {
         group.bench_with_input(BenchmarkId::new("push_top", size), &size, |b, &size| {
-            let mut table = SingleTable::new(size);
+            let mut tables = MappingTables::new(size, size, size, AgingMode::AgedWorst);
             let mut i = 0u64;
             b.iter(|| {
-                table.push_top(TableEntry::new(ObjectId::new(i), Location::This, i));
+                black_box(tables.update_entry(ObjectId::new(i), Location::This, i));
                 i += 1;
             });
         });
@@ -22,27 +25,29 @@ fn bench_single_table(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ordered_table(c: &mut Criterion) {
+/// Re-ranking inside full ordered tables: a working set twice the size of
+/// the multiple-table, requested round-robin with drifting gaps, so rows
+/// keep moving within and between the multiple- and caching table.
+fn bench_ordered_reranking(c: &mut Criterion) {
     let mut group = c.benchmark_group("ordered_table");
     for &size in &[1_000usize, 10_000, 100_000] {
         group.bench_with_input(
             BenchmarkId::new("insert_remove", size),
             &size,
             |b, &size| {
-                let mut table = OrderedTable::new(size);
-                for i in 0..size as u64 {
-                    let mut e = TableEntry::new(ObjectId::new(i), Location::This, i);
-                    e.average = i * 7 % 1000;
-                    e.hits = 2;
-                    table.insert(e);
+                let mut tables = MappingTables::new(size, size, size / 2, AgingMode::AgedWorst);
+                let objects = 2 * size as u64;
+                let mut now = 0u64;
+                let mut step = |i: u64| {
+                    now += 1 + i % 7;
+                    tables.update_entry(ObjectId::new(i % objects), Location::This, now)
+                };
+                for i in 0..4 * objects {
+                    step(i);
                 }
                 let mut i = 0u64;
                 b.iter(|| {
-                    let id = ObjectId::new(i % size as u64);
-                    if let Some(mut e) = table.remove(id) {
-                        e.average = (e.average + 13) % 1000;
-                        table.insert(e);
-                    }
+                    black_box(step(i));
                     i += 1;
                 });
             },
@@ -51,19 +56,33 @@ fn bench_ordered_table(c: &mut Criterion) {
     group.finish();
 }
 
+/// A Zipf request stream: the mix of all four `Update_Entry` parts the
+/// simulator sees. The `paper` case uses the paper's 20k/20k/10k
+/// capacities and is warmed until all three tables are full, so any
+/// per-operation cost that grows with the table size shows here.
 fn bench_update_entry(c: &mut Criterion) {
     let mut group = c.benchmark_group("update_entry");
-    for &size in &[1_000usize, 10_000] {
-        group.bench_with_input(BenchmarkId::new("zipf_stream", size), &size, |b, &size| {
-            let mut tables = MappingTables::new(size, size, size / 2, AgingMode::AgedWorst);
-            let zipf = adc_workload::Zipf::new(size * 2, 0.8);
+    // (name, single, multiple, cache, object universe)
+    let cases = [
+        ("zipf_stream", 1_000usize, 1_000usize, 500usize, 2_000usize),
+        ("zipf_stream", 10_000, 10_000, 5_000, 20_000),
+        ("paper_20k_20k_10k", 20_000, 20_000, 10_000, 100_000),
+    ];
+    for (name, single, multiple, cache, universe) in cases {
+        group.bench_with_input(BenchmarkId::new(name, single), &single, |b, _| {
+            let mut tables = MappingTables::new(single, multiple, cache, AgingMode::AgedWorst);
+            let zipf = adc_workload::Zipf::new(universe, 0.8);
             let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
             let mut now = 0u64;
-            b.iter(|| {
+            let mut step = || {
                 now += 1;
                 let obj = ObjectId::new(zipf.sample(&mut rng) as u64);
-                black_box(tables.update_entry(obj, Location::This, now));
-            });
+                tables.update_entry(obj, Location::This, now)
+            };
+            for _ in 0..20 * single {
+                step();
+            }
+            b.iter(|| black_box(step()));
         });
     }
     group.finish();
@@ -72,6 +91,6 @@ fn bench_update_entry(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_single_table, bench_ordered_table, bench_update_entry
+    targets = bench_first_sightings, bench_ordered_reranking, bench_update_entry
 }
 criterion_main!(benches);

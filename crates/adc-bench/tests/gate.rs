@@ -7,10 +7,16 @@ use adc_bench::observe::run_adc_observed;
 use adc_bench::{BenchArgs, Experiment, Scale};
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Unique scratch path so parallel test binaries can't collide.
+/// A scratch path no other call can get: the pid keeps concurrent test
+/// binaries apart, the counter keeps this binary's parallel test threads
+/// (and repeated calls within one test) apart.
 fn scratch(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("adc_gate_test_{}_{name}", std::process::id()))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    // ordering: the counter only has to hand out distinct values.
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("adc_gate_test_{}_{n}_{name}", std::process::id()))
 }
 
 const BASELINE: &str = r#"{

@@ -66,8 +66,10 @@ mod agent;
 mod config;
 mod entry;
 mod error;
+mod hash;
 mod ids;
 mod message;
+mod pending;
 mod proxy;
 mod snapshot;
 mod stats;
@@ -80,6 +82,7 @@ pub use entry::{TableEntry, Tick};
 pub use error::ConfigError;
 pub use ids::{ClientId, Location, NodeId, ObjectId, ProxyId, RequestId};
 pub use message::{Message, Reply, Request, ServedFrom};
+pub use pending::PendingHops;
 pub use proxy::{AdcProxy, DEFAULT_OBJECT_SIZE};
 pub use snapshot::{ProxySnapshot, SnapshotError};
 pub use stats::ProxyStats;

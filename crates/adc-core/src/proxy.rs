@@ -4,16 +4,14 @@
 use crate::agent::{ActionSink, CacheAgent, CacheEvent};
 use crate::config::{AdcConfig, CachePolicy};
 use crate::entry::Tick;
-use crate::ids::{Location, NodeId, ObjectId, ProxyId, RequestId};
+use crate::ids::{Location, NodeId, ObjectId, ProxyId};
 use crate::message::{Reply, Request};
+use crate::pending::PendingHops;
 use crate::stats::ProxyStats;
-use crate::tables::{LruList, MappingTables};
+use crate::tables::{LruList, MappingTables, UpdateOutcome};
 use adc_obs::{Probe, SimEvent, TableLevel};
 use rand::Rng;
 use rand::RngCore;
-// Pending-request map on the ADC hot path: keyed access only, never
-// iterated, so hasher order cannot leak into results.
-use std::collections::HashMap; // adc-lint: allow(default-hasher)
 
 /// Default size reported for objects when the runtime does not supply one.
 pub const DEFAULT_OBJECT_SIZE: u32 = 8 * 1024;
@@ -57,7 +55,7 @@ pub struct AdcProxy {
     /// Backwarding information: for every pending request ID, the stack of
     /// previous hops (a stack because a looping request can traverse the
     /// same proxy twice).
-    pending: HashMap<RequestId, Vec<NodeId>>, // adc-lint: allow(default-hasher)
+    pending: PendingHops,
     local_time: Tick,
     stats: ProxyStats,
     cache_events: Vec<CacheEvent>,
@@ -113,8 +111,7 @@ impl AdcProxy {
             config,
             tables,
             lru_store,
-            // Keyed access only, never iterated: hasher can't leak order.
-            pending: HashMap::new(), // adc-lint: allow(default-hasher, determinism-purity)
+            pending: PendingHops::new(),
             local_time: 0,
             stats: ProxyStats::default(),
             cache_events: Vec::new(),
@@ -168,7 +165,12 @@ impl AdcProxy {
         self.pending.len()
     }
 
-    /// The paper's `Forward_Addr(Object)`: the learned location if any
+    /// Borrows the backwarding store (pending hops per request).
+    pub fn pending(&self) -> &PendingHops {
+        &self.pending
+    }
+
+    /// The paper's `Forward_Addr(Object)`: the `learned` location if any
     /// table has an entry, otherwise a uniformly random peer (including
     /// this proxy itself). An entry marked `THIS` means this proxy is
     /// responsible but does not hold the data, so the request must go to
@@ -176,10 +178,11 @@ impl AdcProxy {
     fn forward_addr<P: Probe>(
         &mut self,
         object: ObjectId,
+        learned: Option<Location>,
         rng: &mut dyn RngCore,
         probe: &mut P,
     ) -> NodeId {
-        match self.tables.lookup(object).map(|e| e.location) {
+        match learned {
             Some(Location::Remote(p)) => {
                 self.stats.forwards_learned += 1;
                 if P::ENABLED {
@@ -227,7 +230,12 @@ impl AdcProxy {
 
     /// Runs `Update_Entry` and mirrors the outcome into the object store
     /// (selective policy) or refreshes the LRU store (ablation policy).
-    fn update_entry<P: Probe>(&mut self, object: ObjectId, location: Location, probe: &mut P) {
+    fn update_entry<P: Probe>(
+        &mut self,
+        object: ObjectId,
+        location: Location,
+        probe: &mut P,
+    ) -> UpdateOutcome {
         let outcome = self.tables.update_entry(object, location, self.local_time);
         if P::ENABLED {
             let proxy = self.id.raw();
@@ -294,6 +302,7 @@ impl AdcProxy {
                 }
             }
         }
+        outcome
     }
 
     /// Stores `object` in the LRU store (ablation policy only), evicting
@@ -344,11 +353,20 @@ impl CacheAgent for AdcProxy {
         probe: &mut P,
         out: &mut ActionSink,
     ) {
+        let object = request.object;
+        // One table probe serves both the hit test and Forward_Addr.
+        let known = self
+            .tables
+            .locate(object)
+            .map(|(level, e)| (level, e.location));
+        let hit = match &self.lru_store {
+            Some(lru) => lru.contains(&object),
+            None => matches!(known, Some((TableLevel::Caching, _))),
+        };
         self.local_time += 1;
         self.stats.requests_received += 1;
-        let object = request.object;
 
-        if self.locally_cached(object) {
+        if hit {
             // Local hit: refresh the entry with ourselves as location and
             // return the data to the sender.
             self.stats.local_hits += 1;
@@ -368,11 +386,7 @@ impl CacheAgent for AdcProxy {
         }
 
         // Miss: remember the backwarding hop, then forward.
-        let loop_detected = self.pending.contains_key(&request.id);
-        self.pending
-            .entry(request.id)
-            .or_default()
-            .push(request.sender);
+        let loop_detected = self.pending.push(request.id, request.sender);
 
         let mut forwarded = request;
         forwarded.sender = NodeId::Proxy(self.id);
@@ -398,34 +412,22 @@ impl CacheAgent for AdcProxy {
             }
             NodeId::Origin
         } else {
-            self.forward_addr(object, rng, probe)
+            self.forward_addr(object, known.map(|(_, location)| location), rng, probe)
         };
         out.send(to, forwarded);
     }
 
     /// The paper's `Receive_Reply()` (Figure 7).
     fn on_reply<P: Probe>(&mut self, reply: Reply, probe: &mut P, out: &mut ActionSink) {
-        let prev_hop = {
-            let stack = match self.pending.get_mut(&reply.id) {
-                Some(s) => s,
-                None => {
-                    self.stats.replies_orphaned += 1;
-                    if P::ENABLED {
-                        probe.emit(SimEvent::ReplyOrphaned {
-                            proxy: self.id.raw(),
-                            object: reply.object.raw(),
-                        });
-                    }
-                    return;
-                }
-            };
-            // Invariant: empty stacks are removed from `pending` as soon
-            // as the last hop pops (below). adc-lint: allow(panic)
-            let hop = stack.pop().expect("pending stacks are never empty");
-            if stack.is_empty() {
-                self.pending.remove(&reply.id);
+        let Some(prev_hop) = self.pending.pop(reply.id) else {
+            self.stats.replies_orphaned += 1;
+            if P::ENABLED {
+                probe.emit(SimEvent::ReplyOrphaned {
+                    proxy: self.id.raw(),
+                    object: reply.object.raw(),
+                });
             }
-            hop
+            return;
         };
         self.stats.replies_processed += 1;
 
@@ -445,15 +447,20 @@ impl CacheAgent for AdcProxy {
                 owner: resolver.raw(),
             });
         }
-        self.update_entry(reply.object, Location::from_proxy(resolver, self.id), probe);
-        if self.lru_store.is_some() {
-            // Cache-everything ablation: every passing object is stored.
+        let outcome =
+            self.update_entry(reply.object, Location::from_proxy(resolver, self.id), probe);
+        let cached_here = if self.lru_store.is_some() {
+            // Cache-everything ablation: every passing object is stored
+            // (on top of the LRU, so it is the last to go).
             self.lru_admit(reply.object, probe);
-        }
+            true
+        } else {
+            outcome.cached_after()
+        };
 
         // Claim the caching location if we hold the data and nobody else
         // on the path has cached it ("focus on only one caching location").
-        if self.locally_cached(reply.object) && reply.cached_by.is_none() {
+        if cached_here && reply.cached_by.is_none() {
             reply.resolver = Some(self.id);
             reply.cached_by = Some(self.id);
         }
@@ -501,7 +508,7 @@ mod tests {
     use super::*;
     use crate::agent::Action;
     use crate::config::AgingMode;
-    use crate::ids::ClientId;
+    use crate::ids::{ClientId, RequestId};
     use crate::message::ServedFrom;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -591,7 +598,7 @@ mod tests {
         assert_eq!(p.stats().origin_loops, 1);
         // Two pending hops now (stacked).
         assert_eq!(p.pending_requests(), 1);
-        assert_eq!(p.pending.get(&req(1, 10).id).unwrap().len(), 2);
+        assert_eq!(p.pending().depth(req(1, 10).id), 2);
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl ProxySnapshot {
     /// # Errors
     ///
     /// Returns [`SnapshotError::Parse`] when the snapshot's tables exceed
-    /// the configured capacities.
+    /// the configured capacities or list an object more than once.
     pub fn restore(&self) -> Result<AdcProxy, SnapshotError> {
         if self.config.policy != CachePolicy::Selective {
             return Err(SnapshotError::Parse(
@@ -122,6 +122,15 @@ impl ProxySnapshot {
             return Err(SnapshotError::Parse(
                 "table contents exceed configured capacities".into(),
             ));
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        for e in self.single.iter().chain(&self.multiple).chain(&self.cached) {
+            if !seen.insert(e.object) {
+                return Err(SnapshotError::Parse(format!(
+                    "object {} listed more than once",
+                    e.object
+                )));
+            }
         }
         let mut tables = MappingTables::new(
             self.config.single_capacity,
@@ -402,6 +411,15 @@ mod tests {
         let proxy = trained_proxy();
         let mut snapshot = ProxySnapshot::capture(&proxy);
         snapshot.config.cache_capacity = 1; // smaller than captured cache
+        assert!(matches!(snapshot.restore(), Err(SnapshotError::Parse(_))));
+    }
+
+    #[test]
+    fn rejects_duplicate_objects() {
+        let proxy = trained_proxy();
+        let mut snapshot = ProxySnapshot::capture(&proxy);
+        let twin = snapshot.cached[0];
+        snapshot.single.push(twin);
         assert!(matches!(snapshot.restore(), Err(SnapshotError::Parse(_))));
     }
 

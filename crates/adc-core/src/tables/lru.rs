@@ -3,23 +3,17 @@
 //! single-table ("the well-known LRU algorithm") and the baseline LRU
 //! caches.
 //!
-//! Implemented as a slab of doubly linked nodes plus a hash index, so no
-//! per-operation allocation occurs once the slab has grown.
+//! Implemented as a slab of doubly linked nodes plus a hash index keyed
+//! through the crate's deterministic hasher, so no per-operation
+//! allocation occurs once the slab has grown.
 
 // Slab + hash-index design: every slot index stored in `index`, `head`,
 // `tail`, `prev` or `next` refers to a live `nodes` slot by construction
 // (links are rewired before a slot moves to the free list), so per-site
 // bounds comments would repeat one global invariant.
 // adc-lint: allow-file(index-comment)
-//
-// The hash index is keyed-only — iteration always follows the intrusive
-// links, never the map — so the randomized hasher cannot leak into any
-// observable order. The generic `K: Hash` bound rules out a BTreeMap.
-// That same invariant keeps the hot-path call chains pure even though
-// the constructors are reachable from the simulation loop.
-// adc-lint: allow-file(default-hasher, determinism-purity)
 
-use std::collections::HashMap;
+use crate::hash::IdMap;
 use std::hash::Hash;
 
 const NIL: usize = usize::MAX;
@@ -51,7 +45,7 @@ struct Node<K, V> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LruList<K, V> {
-    index: HashMap<K, usize>,
+    index: IdMap<K, usize>,
     nodes: Vec<Node<K, V>>,
     free: Vec<usize>,
     head: usize,
@@ -68,7 +62,7 @@ impl<K: Eq + Hash + Clone, V> LruList<K, V> {
     /// Creates an empty list.
     pub fn new() -> Self {
         LruList {
-            index: HashMap::new(),
+            index: IdMap::default(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -78,8 +72,10 @@ impl<K: Eq + Hash + Clone, V> LruList<K, V> {
 
     /// Creates an empty list with pre-allocated capacity.
     pub fn with_capacity(capacity: usize) -> Self {
+        let mut index = IdMap::default();
+        index.reserve(capacity);
         LruList {
-            index: HashMap::with_capacity(capacity),
+            index,
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,

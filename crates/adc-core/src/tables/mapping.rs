@@ -4,13 +4,25 @@
 //! Objects migrate single-table → multiple-table → caching table as their
 //! measured request frequency improves, and fall back down when displaced.
 //! An object lives in **at most one** of the three tables at any time.
+//!
+//! All three tables share one slab of rows and one `ObjectId → slot`
+//! index, so every operation probes the index once and a row changes
+//! table by retagging its slot, never by moving its payload. Each slot's
+//! [`Place`] says which table holds it: the single-table keeps its LRU
+//! order as links between slots, the multiple- and caching table keep
+//! `(average, seq)` order keys over slot ids (see `ordered.rs`). A row
+//! leaves the tables only when a new object pushes it off the bottom of
+//! the single-table, and the new object takes over its slot, so the slab
+//! needs no free list and never holds more slots than live rows.
 
 use crate::config::AgingMode;
 use crate::entry::{TableEntry, Tick};
+use crate::hash::IdMap;
 use crate::ids::{Location, ObjectId};
-use crate::tables::ordered::OrderedTable;
-use crate::tables::single::SingleTable;
+use crate::tables::ordered::{OrderKey, Ordered};
+use adc_obs::TableLevel;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 
 /// Which table an `Update_Entry` call found (or created) the entry in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,6 +60,24 @@ pub struct UpdateOutcome {
     pub forgotten: Option<ObjectId>,
 }
 
+impl UpdateOutcome {
+    fn found(found_in: TableHit) -> Self {
+        UpdateOutcome {
+            found_in,
+            admitted_to_cache: false,
+            evicted_from_cache: None,
+            promoted_to_multiple: false,
+            demoted_to_single: None,
+            forgotten: None,
+        }
+    }
+
+    /// Whether the object sits in the caching table after the update.
+    pub fn cached_after(&self) -> bool {
+        self.found_in == TableHit::Cached || self.admitted_to_cache
+    }
+}
+
 /// Whether the structure runs the full selective-caching scheme or only
 /// the mapping part (used by the LRU-caching ablation, where the actual
 /// store is managed outside).
@@ -55,6 +85,45 @@ pub struct UpdateOutcome {
 enum Mode {
     Selective,
     MappingOnly,
+}
+
+/// Marks the end of the single-table's LRU chain.
+const NIL: usize = usize::MAX;
+
+/// Which table holds a slot, with that table's bookkeeping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// In the single-table, between its newer (`prev`) and older
+    /// (`next`) neighbours.
+    Single { prev: usize, next: usize },
+    /// In the multiple-table under order key `(entry.average, seq)`.
+    Multiple { seq: u64 },
+    /// In the caching table under order key `(entry.average, seq)`.
+    Cached { seq: u64 },
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    entry: TableEntry,
+    place: Place,
+}
+
+/// The ordered tables, named for slot bookkeeping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Multiple,
+    Cached,
+}
+
+/// The single-table's LRU chain through the slab.
+#[derive(Debug, Clone)]
+struct Chain {
+    capacity: usize,
+    len: usize,
+    /// Newest row.
+    head: usize,
+    /// Oldest row, the next to be forgotten.
+    tail: usize,
 }
 
 /// The per-proxy mapping structure: single-, multiple- and caching table.
@@ -76,9 +145,14 @@ enum Mode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MappingTables {
-    single: SingleTable,
-    multiple: OrderedTable,
-    cached: OrderedTable,
+    index: IdMap<ObjectId, usize>,
+    slots: Vec<Slot>,
+    single: Chain,
+    multiple: Ordered,
+    cached: Ordered,
+    /// Order-key sequence shared by both ordered tables; only the
+    /// relative order of keys within one table matters.
+    next_seq: u64,
     aging: AgingMode,
     mode: Mode,
 }
@@ -95,13 +169,13 @@ impl MappingTables {
         cache_capacity: usize,
         aging: AgingMode,
     ) -> Self {
-        MappingTables {
-            single: SingleTable::new(single_capacity),
-            multiple: OrderedTable::new(multiple_capacity),
-            cached: OrderedTable::new(cache_capacity),
+        Self::build(
+            single_capacity,
+            multiple_capacity,
+            cache_capacity,
             aging,
-            mode: Mode::Selective,
-        }
+            Mode::Selective,
+        )
     }
 
     /// Creates a mapping-only variant: the caching table is never
@@ -112,40 +186,73 @@ impl MappingTables {
         multiple_capacity: usize,
         aging: AgingMode,
     ) -> Self {
-        MappingTables {
-            single: SingleTable::new(single_capacity),
-            multiple: OrderedTable::new(multiple_capacity),
-            // Capacity 1 placeholder; never inserted into in this mode.
-            cached: OrderedTable::new(1),
+        // Capacity 1 placeholder; never inserted into in this mode.
+        Self::build(
+            single_capacity,
+            multiple_capacity,
+            1,
             aging,
-            mode: Mode::MappingOnly,
+            Mode::MappingOnly,
+        )
+    }
+
+    fn build(single: usize, multiple: usize, cached: usize, aging: AgingMode, mode: Mode) -> Self {
+        assert!(single > 0, "single-table capacity must be positive");
+        let rows = single
+            .saturating_add(multiple)
+            .saturating_add(cached)
+            .min(1 << 20);
+        // One spare key: a new object is indexed just before the row it
+        // replaces is unindexed.
+        let mut index = IdMap::default();
+        index.reserve(rows + 1);
+        MappingTables {
+            index,
+            slots: Vec::with_capacity(rows),
+            single: Chain {
+                capacity: single,
+                len: 0,
+                head: NIL,
+                tail: NIL,
+            },
+            multiple: Ordered::new(multiple),
+            cached: Ordered::new(cached),
+            next_seq: 0,
+            aging,
+            mode,
         }
     }
 
     /// Borrows the single-table.
-    pub fn single(&self) -> &SingleTable {
-        &self.single
+    pub fn single(&self) -> SingleView<'_> {
+        SingleView { tables: self }
     }
 
     /// Borrows the multiple-table.
-    pub fn multiple(&self) -> &OrderedTable {
-        &self.multiple
+    pub fn multiple(&self) -> OrderedView<'_> {
+        OrderedView {
+            tables: self,
+            tier: Tier::Multiple,
+        }
     }
 
     /// Borrows the caching table.
-    pub fn cached(&self) -> &OrderedTable {
-        &self.cached
+    pub fn cached(&self) -> OrderedView<'_> {
+        OrderedView {
+            tables: self,
+            tier: Tier::Cached,
+        }
     }
 
     /// Returns `true` if the caching table lists `object` (i.e. the object
     /// data is stored locally under the selective policy).
     pub fn is_cached(&self, object: ObjectId) -> bool {
-        self.cached.contains(object)
+        matches!(self.locate(object), Some((TableLevel::Caching, _)))
     }
 
     /// Total number of entries across the three tables.
     pub fn len(&self) -> usize {
-        self.single.len() + self.multiple.len() + self.cached.len()
+        self.single.len + self.multiple.len() + self.cached.len()
     }
 
     /// Returns `true` when all three tables are empty.
@@ -153,14 +260,53 @@ impl MappingTables {
         self.len() == 0
     }
 
-    /// Looks up the learned entry for `object`, searching (as the paper's
-    /// `Forward_Addr` does) the caching table, then the multiple-table,
-    /// then the single-table.
+    /// Number of row slots the slab holds. A forgotten row's slot goes
+    /// straight to the new object that displaced it, so this equals
+    /// [`MappingTables::len`]; tests compare the two to check that the
+    /// slab does not leak.
+    pub fn slab_len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Looks up the learned entry for `object` in whichever table holds
+    /// it — the paper's `Forward_Addr` searches the caching table, then
+    /// the multiple-table, then the single-table, and an object is in at
+    /// most one of them.
     pub fn lookup(&self, object: ObjectId) -> Option<&TableEntry> {
-        self.cached
-            .get(object)
-            .or_else(|| self.multiple.get(object))
-            .or_else(|| self.single.get(object))
+        self.locate(object).map(|(_, entry)| entry)
+    }
+
+    /// Like [`MappingTables::lookup`], and also says which table holds
+    /// the entry — both answers from one index probe.
+    pub fn locate(&self, object: ObjectId) -> Option<(TableLevel, &TableEntry)> {
+        let &slot = self.index.get(&object)?;
+        let Slot { entry, place } = self.slot(slot);
+        let level = match place {
+            Place::Single { .. } => TableLevel::Single,
+            Place::Multiple { .. } => TableLevel::Multiple,
+            Place::Cached { .. } => TableLevel::Caching,
+        };
+        Some((level, entry))
+    }
+
+    /// The row in `slot`. Every slot id the tables store — in the index,
+    /// in a single-table link, in `head`/`tail` or in an order key —
+    /// names a pushed slot, and slots are only dropped all at once by
+    /// `clear`, so stored ids are always in bounds.
+    fn slot(&self, slot: usize) -> &Slot {
+        &self.slots[slot] // in bounds: see above
+    }
+
+    /// Mutable [`Self::slot`].
+    fn slot_mut(&mut self, slot: usize) -> &mut Slot {
+        &mut self.slots[slot] // in bounds: see `slot`
+    }
+
+    fn ordered(&self, tier: Tier) -> &Ordered {
+        match tier {
+            Tier::Multiple => &self.multiple,
+            Tier::Cached => &self.cached,
+        }
     }
 
     /// The paper's `Update_Entry(Object, Location)` (Figure 8).
@@ -184,20 +330,16 @@ impl MappingTables {
         now: Tick,
     ) -> UpdateOutcome {
         let outcome = self.update_entry_inner(object, location, now);
-        // The paper's core structural invariant: after every update the
-        // object lives in exactly one of the three tables.
-        debug_assert_eq!(
-            usize::from(self.single.contains(object))
-                + usize::from(self.multiple.contains(object))
-                + usize::from(self.cached.contains(object)),
-            1,
-            "object {object} must be in exactly one table after update_entry"
-        );
         debug_assert!(
-            self.single.len() <= self.single.capacity()
+            self.single.len <= self.single.capacity
                 && self.multiple.len() <= self.multiple.capacity()
                 && self.cached.len() <= self.cached.capacity(),
             "a mapping table exceeded its capacity bound"
+        );
+        debug_assert_eq!(
+            self.len(),
+            self.slots.len(),
+            "every slab slot must belong to exactly one table"
         );
         outcome
     }
@@ -208,120 +350,200 @@ impl MappingTables {
         location: Location,
         now: Tick,
     ) -> UpdateOutcome {
+        let slot = match self.index.entry(object) {
+            Entry::Occupied(found) => *found.get(),
+            Entry::Vacant(vacant) => {
+                // PART 4: unknown object; create a fresh entry on top.
+                let fresh = Slot {
+                    entry: TableEntry::new(object, location, now),
+                    place: Place::Single {
+                        prev: NIL,
+                        next: NIL,
+                    },
+                };
+                if self.single.len < self.single.capacity {
+                    vacant.insert(self.slots.len());
+                    self.slots.push(fresh);
+                    self.push_top(self.slots.len() - 1);
+                    return UpdateOutcome::found(TableHit::New);
+                }
+                // The table is full: the bottom row is forgotten and the
+                // new object takes over its slot.
+                let bottom = self.single.tail;
+                vacant.insert(bottom);
+                let forgotten = self.slot(bottom).entry.object;
+                self.detach(bottom);
+                self.index.remove(&forgotten);
+                *self.slot_mut(bottom) = fresh;
+                self.push_top(bottom);
+                return UpdateOutcome {
+                    forgotten: Some(forgotten),
+                    ..UpdateOutcome::found(TableHit::New)
+                };
+            }
+        };
+
+        let place = self.detach(slot);
+        let entry = &mut self.slot_mut(slot).entry;
+        if entry.last != now {
+            entry.calc_average(now);
+        }
+        entry.location = location;
+        let (average, has_average) = (entry.average, entry.has_average());
         let aged = self.aging.is_aged();
 
-        // PART 1: the object is cached; refresh in place.
-        if self.mode == Mode::Selective {
-            if let Some(mut entry) = self.cached.remove(object) {
-                if entry.last != now {
-                    entry.calc_average(now);
+        match place {
+            // PART 1: the object is cached; refresh in place.
+            Place::Cached { .. } => {
+                self.insert_ordered(Tier::Cached, slot);
+                UpdateOutcome::found(TableHit::Cached)
+            }
+            // PART 2: in the multiple-table; maybe promote into the cache.
+            Place::Multiple { .. } => {
+                let promote =
+                    self.mode == Mode::Selective && self.admits(Tier::Cached, average, now, aged);
+                if !promote {
+                    self.insert_ordered(Tier::Multiple, slot);
+                    return UpdateOutcome::found(TableHit::Multiple);
                 }
-                entry.location = location;
-                self.cached.insert(entry);
-                return UpdateOutcome {
-                    found_in: TableHit::Cached,
-                    admitted_to_cache: false,
-                    evicted_from_cache: None,
-                    promoted_to_multiple: false,
-                    demoted_to_single: None,
-                    forgotten: None,
-                };
-            }
-        }
-
-        // PART 2: in the multiple-table; maybe promote into the cache.
-        if let Some(mut entry) = self.multiple.remove(object) {
-            if entry.last != now {
-                entry.calc_average(now);
-            }
-            entry.location = location;
-            let promote =
-                self.mode == Mode::Selective && self.cached.admits(entry.average, now, aged);
-            if promote {
                 let mut evicted_from_cache = None;
                 if self.cached.is_full() {
-                    // Invariant: is_full() just returned true, so the
-                    // table is non-empty.
-                    let worst = self
-                        .cached
-                        .pop_worst()
-                        .expect("full caching table has a worst entry"); // adc-lint: allow(panic)
-                    evicted_from_cache = Some(worst.object);
-                    // The multiple-table just lost `entry`, so it has room.
-                    self.multiple.insert(worst);
+                    if let Some(worst) = self.cached.pop_worst() {
+                        evicted_from_cache = Some(self.slot(worst.slot).entry.object);
+                        // The multiple-table just lost `slot`, so it has room.
+                        self.insert_ordered(Tier::Multiple, worst.slot);
+                    }
                 }
-                self.cached.insert(entry);
-                return UpdateOutcome {
-                    found_in: TableHit::Multiple,
+                self.insert_ordered(Tier::Cached, slot);
+                UpdateOutcome {
                     admitted_to_cache: true,
                     evicted_from_cache,
-                    promoted_to_multiple: false,
-                    demoted_to_single: None,
-                    forgotten: None,
-                };
-            }
-            self.multiple.insert(entry);
-            return UpdateOutcome {
-                found_in: TableHit::Multiple,
-                admitted_to_cache: false,
-                evicted_from_cache: None,
-                promoted_to_multiple: false,
-                demoted_to_single: None,
-                forgotten: None,
-            };
-        }
-
-        // PART 3: in the single-table; maybe promote to the multiple-table.
-        if let Some(mut entry) = self.single.remove(object) {
-            if entry.last != now {
-                entry.calc_average(now);
-            }
-            entry.location = location;
-            // The multiple-table "contains only objects that were
-            // requested more than once": an entry that never received a
-            // real second request (hits == 1, average still 0) must stay
-            // in the single-table — otherwise its zero average would rank
-            // it best-in-table forever.
-            let mut promoted_to_multiple = false;
-            let mut demoted_to_single = None;
-            if entry.has_average() && self.multiple.admits(entry.average, now, aged) {
-                if self.multiple.is_full() {
-                    // Invariant: is_full() just returned true, so the
-                    // table is non-empty.
-                    let worst = self
-                        .multiple
-                        .pop_worst()
-                        .expect("full multiple-table has a worst entry"); // adc-lint: allow(panic)
-                    demoted_to_single = Some(worst.object);
-                    // The single-table just lost `entry`, so it has room.
-                    self.single.push_top(worst);
+                    ..UpdateOutcome::found(TableHit::Multiple)
                 }
-                self.multiple.insert(entry);
-                promoted_to_multiple = true;
-            } else {
-                self.single.push_top(entry);
             }
-            return UpdateOutcome {
-                found_in: TableHit::Single,
-                admitted_to_cache: false,
-                evicted_from_cache: None,
-                promoted_to_multiple,
-                demoted_to_single,
-                forgotten: None,
-            };
+            // PART 3: in the single-table; maybe promote to the multiple-table.
+            Place::Single { .. } => {
+                // The multiple-table "contains only objects that were
+                // requested more than once": an entry that never received
+                // a real second request (hits == 1, average still 0) must
+                // stay in the single-table — otherwise its zero average
+                // would rank it best-in-table forever.
+                if !(has_average && self.admits(Tier::Multiple, average, now, aged)) {
+                    self.push_top(slot);
+                    return UpdateOutcome::found(TableHit::Single);
+                }
+                let mut demoted_to_single = None;
+                if self.multiple.is_full() {
+                    if let Some(worst) = self.multiple.pop_worst() {
+                        demoted_to_single = Some(self.slot(worst.slot).entry.object);
+                        // The single-table just lost `slot`, so it has room.
+                        self.push_top(worst.slot);
+                    }
+                }
+                self.insert_ordered(Tier::Multiple, slot);
+                UpdateOutcome {
+                    promoted_to_multiple: true,
+                    demoted_to_single,
+                    ..UpdateOutcome::found(TableHit::Single)
+                }
+            }
         }
+    }
 
-        // PART 4: unknown object; create a fresh entry on top.
-        let entry = TableEntry::new(object, location, now);
-        let forgotten = self.single.push_top(entry).map(|e| e.object);
-        UpdateOutcome {
-            found_in: TableHit::New,
-            admitted_to_cache: false,
-            evicted_from_cache: None,
-            promoted_to_multiple: false,
-            demoted_to_single: None,
-            forgotten,
+    /// Whether a candidate with stored average `average` may enter `tier`
+    /// at time `now`; see [`Ordered::admits`].
+    fn admits(&self, tier: Tier, average: Tick, now: Tick, aged: bool) -> bool {
+        self.ordered(tier)
+            .admits(average, now, aged, |slot| &self.slot(slot).entry)
+    }
+
+    /// Takes `slot` out of the table that holds it. The slot stays
+    /// indexed; the caller puts it back with [`Self::push_top`] or
+    /// [`Self::insert_ordered`], or reuses it.
+    fn detach(&mut self, slot: usize) -> Place {
+        let Slot { entry, place } = *self.slot(slot);
+        match place {
+            Place::Single { prev, next } => {
+                match prev {
+                    NIL => self.single.head = next,
+                    _ => self.set_next(prev, next),
+                }
+                match next {
+                    NIL => self.single.tail = prev,
+                    _ => self.set_prev(next, prev),
+                }
+                self.single.len -= 1;
+            }
+            Place::Multiple { seq } => self.multiple.remove(OrderKey {
+                average: entry.average,
+                seq,
+                slot,
+            }),
+            Place::Cached { seq } => self.cached.remove(OrderKey {
+                average: entry.average,
+                seq,
+                slot,
+            }),
         }
+        place
+    }
+
+    /// Links a detached `slot` on top of the single-table (the paper's
+    /// `InsertOnTop`). The caller has made room.
+    fn push_top(&mut self, slot: usize) {
+        let next = self.single.head;
+        self.slot_mut(slot).place = Place::Single { prev: NIL, next };
+        match next {
+            NIL => self.single.tail = slot,
+            _ => self.set_prev(next, slot),
+        }
+        self.single.head = slot;
+        self.single.len += 1;
+    }
+
+    fn set_prev(&mut self, slot: usize, to: usize) {
+        if let Place::Single { prev, .. } = &mut self.slot_mut(slot).place {
+            *prev = to;
+        }
+    }
+
+    fn set_next(&mut self, slot: usize, to: usize) {
+        if let Place::Single { next, .. } = &mut self.slot_mut(slot).place {
+            *next = to;
+        }
+    }
+
+    /// Puts a detached `slot` into `tier` at its ordered position under a
+    /// fresh sequence number (the paper's `InsertOrdered`).
+    fn insert_ordered(&mut self, tier: Tier, slot: usize) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let key = OrderKey {
+            average: self.slot(slot).entry.average,
+            seq,
+            slot,
+        };
+        let (table, place) = match tier {
+            Tier::Multiple => (&mut self.multiple, Place::Multiple { seq }),
+            Tier::Cached => (&mut self.cached, Place::Cached { seq }),
+        };
+        table.insert(key);
+        self.slot_mut(slot).place = place;
+    }
+
+    /// Appends a row as a new slot and indexes it; the caller places it.
+    fn restore_row(&mut self, entry: TableEntry) -> usize {
+        let slot = self.slots.len();
+        let fresh = self.index.insert(entry.object, slot).is_none();
+        assert!(fresh, "object {} restored twice", entry.object);
+        self.slots.push(Slot {
+            entry,
+            place: Place::Single {
+                prev: NIL,
+                next: NIL,
+            },
+        });
+        slot
     }
 
     /// Refills the tables from captured contents: `single` newest-first,
@@ -330,8 +552,8 @@ impl MappingTables {
     ///
     /// # Panics
     ///
-    /// Panics (via the underlying tables) if the contents exceed the
-    /// configured capacities.
+    /// Panics if the contents exceed the configured capacities or list an
+    /// object more than once.
     pub fn restore_contents(
         &mut self,
         single: &[TableEntry],
@@ -339,58 +561,222 @@ impl MappingTables {
         cached: &[TableEntry],
     ) {
         self.clear();
+        assert!(
+            single.len() <= self.single.capacity
+                && multiple.len() <= self.multiple.capacity()
+                && cached.len() <= self.cached.capacity(),
+            "restored contents exceed the table capacities"
+        );
         // push_top puts each entry on top, so feed oldest first.
         for e in single.iter().rev() {
-            self.single.push_top(*e);
+            let slot = self.restore_row(*e);
+            self.push_top(slot);
         }
         for e in multiple {
-            self.multiple.insert(*e);
+            let slot = self.restore_row(*e);
+            self.insert_ordered(Tier::Multiple, slot);
         }
         for e in cached {
-            self.cached.insert(*e);
+            let slot = self.restore_row(*e);
+            self.insert_ordered(Tier::Cached, slot);
         }
     }
 
     /// Removes every entry from all three tables.
     pub fn clear(&mut self) {
-        self.single.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.single.len = 0;
+        self.single.head = NIL;
+        self.single.tail = NIL;
         self.multiple.clear();
         self.cached.clear();
     }
 
-    /// Asserts the structural invariants (object uniqueness across tables,
-    /// bounded sizes). Intended for tests and debug builds.
+    /// Asserts the structural invariants: bounded sizes, object
+    /// uniqueness across tables, an index that agrees with the slab, an
+    /// intact single-table chain and ordered tables keyed by each row's
+    /// current average. Intended for tests and debug builds.
     ///
     /// # Panics
     ///
     /// Panics when an invariant is violated.
     pub fn assert_invariants(&self) {
-        assert!(self.single.len() <= self.single.capacity());
+        assert!(self.single.len <= self.single.capacity);
         assert!(self.multiple.len() <= self.multiple.capacity());
         assert!(self.cached.len() <= self.cached.capacity());
+        assert_eq!(
+            self.len(),
+            self.slots.len(),
+            "slab slots outside every table"
+        );
+        assert_eq!(
+            self.index.len(),
+            self.slots.len(),
+            "index and slab disagree"
+        );
         let mut seen = std::collections::BTreeSet::new();
-        for e in self
-            .single
-            .iter()
-            .chain(self.multiple.iter())
-            .chain(self.cached.iter())
-        {
+        for (slot, s) in self.slots.iter().enumerate() {
             assert!(
-                seen.insert(e.object),
+                seen.insert(s.entry.object),
                 "object {} present in more than one table",
-                e.object
+                s.entry.object
             );
+            assert_eq!(self.index.get(&s.entry.object), Some(&slot), "stale index");
         }
-        // Ordered tables really are ordered by stored average.
-        for table in [&self.multiple, &self.cached] {
-            let mut prev = None;
-            for e in table.iter() {
-                if let Some(p) = prev {
-                    assert!(p <= e.average, "ordered table out of order");
-                }
-                prev = Some(e.average);
+        // The chain visits exactly the single-table slots, newest first.
+        let (mut at, mut prev, mut walked) = (self.single.head, NIL, 0);
+        while at != NIL {
+            let Place::Single { prev: p, next } = self.slot(at).place else {
+                panic!("single-table chain reaches a slot of another table");
+            };
+            assert_eq!(p, prev, "broken single-table back link");
+            (prev, at, walked) = (at, next, walked + 1);
+        }
+        assert_eq!(
+            self.single.tail, prev,
+            "single-table tail is not the last link"
+        );
+        assert_eq!(walked, self.single.len, "single-table chain length");
+        // Ordered tables: keys match the slots they name.
+        for tier in [Tier::Multiple, Tier::Cached] {
+            for key in self.ordered(tier).iter() {
+                let s = self.slot(key.slot);
+                let want = match tier {
+                    Tier::Multiple => Place::Multiple { seq: key.seq },
+                    Tier::Cached => Place::Cached { seq: key.seq },
+                };
+                assert_eq!(s.place, want, "order key names a slot of another table");
+                assert_eq!(s.entry.average, key.average, "order key average is stale");
             }
         }
+    }
+}
+
+/// The single-table (§III.3.1, Figure 1), read-only: a bounded LRU of
+/// first-seen objects. "Each unknown object will receive a new entry on
+/// the top of the table, displacing the oldest entry at the bottom of the
+/// table — the well-known LRU algorithm."
+#[derive(Debug, Clone, Copy)]
+pub struct SingleView<'a> {
+    tables: &'a MappingTables,
+}
+
+impl<'a> SingleView<'a> {
+    /// The configured maximum number of entries.
+    pub fn capacity(&self) -> usize {
+        self.tables.single.capacity
+    }
+
+    /// Number of entries currently stored.
+    pub fn len(&self) -> usize {
+        self.tables.single.len
+    }
+
+    /// Returns `true` when no entries are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Returns `true` when the table is at capacity.
+    pub fn is_full(&self) -> bool {
+        self.len() >= self.capacity()
+    }
+
+    /// Returns `true` if `object` has an entry in this table.
+    pub fn contains(&self, object: ObjectId) -> bool {
+        self.get(object).is_some()
+    }
+
+    /// Borrows the entry for `object`, if this table holds it.
+    pub fn get(&self, object: ObjectId) -> Option<&'a TableEntry> {
+        match self.tables.locate(object)? {
+            (TableLevel::Single, entry) => Some(entry),
+            _ => None,
+        }
+    }
+
+    /// Iterates entries newest-to-oldest.
+    pub fn iter(&self) -> impl Iterator<Item = &'a TableEntry> + 'a {
+        let slots = &self.tables.slots;
+        let mut at = self.tables.single.head;
+        std::iter::from_fn(move || {
+            let s = slots.get(at)?;
+            at = match s.place {
+                Place::Single { next, .. } => next,
+                _ => NIL,
+            };
+            Some(&s.entry)
+        })
+    }
+}
+
+/// The multiple-table or the caching table, read-only: rows in ascending
+/// order of their stored average inter-request time (best first, worst
+/// last), FIFO among equal averages.
+#[derive(Debug, Clone, Copy)]
+pub struct OrderedView<'a> {
+    tables: &'a MappingTables,
+    tier: Tier,
+}
+
+impl<'a> OrderedView<'a> {
+    fn table(&self) -> &'a Ordered {
+        self.tables.ordered(self.tier)
+    }
+
+    /// The configured maximum number of entries.
+    pub fn capacity(&self) -> usize {
+        self.table().capacity()
+    }
+
+    /// Number of entries currently stored.
+    pub fn len(&self) -> usize {
+        self.table().len()
+    }
+
+    /// Returns `true` when no entries are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Returns `true` when the table is at capacity.
+    pub fn is_full(&self) -> bool {
+        self.table().is_full()
+    }
+
+    /// Returns `true` if `object` has an entry in this table.
+    pub fn contains(&self, object: ObjectId) -> bool {
+        self.get(object).is_some()
+    }
+
+    /// Borrows the entry for `object`, if this table holds it.
+    pub fn get(&self, object: ObjectId) -> Option<&'a TableEntry> {
+        let level = match self.tier {
+            Tier::Multiple => TableLevel::Multiple,
+            Tier::Cached => TableLevel::Caching,
+        };
+        let (at, entry) = self.tables.locate(object)?;
+        (at == level).then_some(entry)
+    }
+
+    /// Borrows the entry with the worst (largest) average, i.e. the last
+    /// row of the paper's tables.
+    pub fn worst(&self) -> Option<&'a TableEntry> {
+        let tables = self.tables;
+        self.table().worst().map(|k| &tables.slot(k.slot).entry)
+    }
+
+    /// Borrows the entry with the best (smallest) average.
+    pub fn best(&self) -> Option<&'a TableEntry> {
+        let tables = self.tables;
+        self.table().best().map(|k| &tables.slot(k.slot).entry)
+    }
+
+    /// Iterates entries best-to-worst.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &'a TableEntry> + 'a {
+        let tables = self.tables;
+        self.table().iter().map(move |k| &tables.slot(k.slot).entry)
     }
 }
 

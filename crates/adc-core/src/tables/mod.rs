@@ -1,12 +1,9 @@
 //! The three mapping tables of an ADC proxy (§III.3 of the paper) and the
-//! LRU primitive they share with the baseline caches.
+//! LRU primitive the LRU-caching ablation shares with the baseline caches.
 
 mod lru;
 mod mapping;
-mod ordered;
-mod single;
+pub(crate) mod ordered;
 
 pub use lru::{Iter as LruIter, LruList};
-pub use mapping::{MappingTables, TableHit, UpdateOutcome};
-pub use ordered::OrderedTable;
-pub use single::SingleTable;
+pub use mapping::{MappingTables, OrderedView, SingleView, TableHit, UpdateOutcome};

@@ -1,344 +1,208 @@
-//! The ordered table underlying the paper's multiple-table and caching
-//! table.
+//! The order behind the paper's multiple-table and caching table.
 //!
 //! Both tables are "always ordered in ascending order of the fourth column
 //! (average request time). This order allows the simple identification of
 //! the object with the worst average time and quick insertions/deletions
-//! based using binary search." We use a `BTreeMap` keyed by
-//! `(average, sequence)` which gives the same O(log n) ordered operations;
-//! the sequence number makes ties deterministic (older insertion wins).
+//! based using binary search." The rows themselves live in their owner's
+//! slab; an [`Ordered`] holds only `(average, seq, slot)` keys in a
+//! `BTreeSet`, so every insert, removal and worst-row lookup is O(log n)
+//! with no shifting, and moving a row never moves its payload. The
+//! sequence number makes ties deterministic: among equal averages the
+//! older insertion ranks better.
 
 use crate::entry::{TableEntry, Tick};
-use crate::ids::ObjectId;
-// The object index is keyed-only (never iterated); ordering comes from
-// the BTreeMap, so the randomized hasher cannot leak into results.
-use std::collections::{BTreeMap, HashMap}; // adc-lint: allow(default-hasher)
+use std::collections::BTreeSet;
 
-/// Sort key: ascending stored average, FIFO among equals.
+/// Sort key of one row: ascending stored average, FIFO among equals. The
+/// slot is carried along and never decides the order (sequence numbers
+/// are unique).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct OrderKey {
-    average: Tick,
-    seq: u64,
+pub(crate) struct OrderKey {
+    pub(crate) average: Tick,
+    pub(crate) seq: u64,
+    pub(crate) slot: usize,
 }
 
-/// A bounded table of [`TableEntry`] rows kept in ascending order of the
-/// stored average inter-request time (best first, worst last).
-///
-/// # Examples
-///
-/// ```
-/// use adc_core::tables::OrderedTable;
-/// use adc_core::{Location, ObjectId, TableEntry};
-///
-/// let mut t = OrderedTable::new(2);
-/// let mut fast = TableEntry::new(ObjectId::new(1), Location::This, 0);
-/// fast.average = 10;
-/// let mut slow = TableEntry::new(ObjectId::new(2), Location::This, 0);
-/// slow.average = 500;
-/// t.insert(fast);
-/// t.insert(slow);
-/// assert_eq!(t.worst().unwrap().object, ObjectId::new(2));
-/// ```
+/// A bounded ordered index over slab slots, best row first.
 #[derive(Debug, Clone)]
-pub struct OrderedTable {
+pub(crate) struct Ordered {
     capacity: usize,
-    by_object: HashMap<ObjectId, OrderKey>, // adc-lint: allow(default-hasher)
-    by_order: BTreeMap<OrderKey, TableEntry>,
-    next_seq: u64,
+    keys: BTreeSet<OrderKey>,
 }
 
-impl OrderedTable {
-    /// Creates an empty table bounded to `capacity` entries.
-    ///
+impl Ordered {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ordered table capacity must be positive");
-        OrderedTable {
+        Ordered {
             capacity,
-            // Keyed access only; iteration goes through `by_order`.
-            by_object: HashMap::with_capacity(capacity.min(1 << 20)), // adc-lint: allow(default-hasher, determinism-purity)
-            by_order: BTreeMap::new(),
-            next_seq: 0,
+            keys: BTreeSet::new(),
         }
     }
 
-    /// The configured maximum number of entries.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of entries currently stored.
-    pub fn len(&self) -> usize {
-        self.by_object.len()
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
     }
 
-    /// Returns `true` when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.by_object.is_empty()
+    pub(crate) fn is_full(&self) -> bool {
+        self.keys.len() >= self.capacity
     }
 
-    /// Returns `true` when the table is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity
+    /// The paper's `InsertOrdered`. The caller makes room first.
+    pub(crate) fn insert(&mut self, key: OrderKey) {
+        debug_assert!(!self.is_full(), "insert into a full ordered table");
+        let fresh = self.keys.insert(key);
+        debug_assert!(fresh, "order key inserted twice");
     }
 
-    /// Returns `true` if `object` has an entry.
-    pub fn contains(&self, object: ObjectId) -> bool {
-        self.by_object.contains_key(&object)
+    /// The paper's `RemoveEntry`.
+    pub(crate) fn remove(&mut self, key: OrderKey) {
+        let present = self.keys.remove(&key);
+        debug_assert!(present, "removed an order key that was not present");
     }
 
-    /// Borrows the entry for `object`, if present.
-    pub fn get(&self, object: ObjectId) -> Option<&TableEntry> {
-        let key = self.by_object.get(&object)?;
-        self.by_order.get(key)
+    /// The last row of the paper's tables (largest average).
+    pub(crate) fn worst(&self) -> Option<OrderKey> {
+        self.keys.last().copied()
     }
 
-    /// Removes and returns the entry for `object` (the paper's
-    /// `RemoveEntry`).
-    pub fn remove(&mut self, object: ObjectId) -> Option<TableEntry> {
-        let key = self.by_object.remove(&object)?;
-        let entry = self.by_order.remove(&key);
-        self.debug_check();
-        entry
+    /// The paper's `RemoveLastEntry`.
+    pub(crate) fn pop_worst(&mut self) -> Option<OrderKey> {
+        self.keys.pop_last()
     }
 
-    /// Inserts `entry` at its ordered position (the paper's
-    /// `InsertOrdered`).
-    ///
-    /// The caller is expected to have made room first (the `Update_Entry`
-    /// procedure always removes the displaced worst entry before
-    /// inserting); if the table is already full the worst entry is evicted
-    /// and returned so the invariant `len <= capacity` can never break.
-    pub fn insert(&mut self, entry: TableEntry) -> Option<TableEntry> {
-        debug_assert!(
-            !self.by_object.contains_key(&entry.object),
-            "insert of an object already present; remove it first"
-        );
-        let evicted = if self.is_full() {
-            self.pop_worst()
-        } else {
-            None
-        };
-        let key = OrderKey {
-            average: entry.average,
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
-        self.by_object.insert(entry.object, key);
-        self.by_order.insert(key, entry);
-        self.debug_check();
-        evicted
+    /// The first row (smallest average).
+    pub(crate) fn best(&self) -> Option<OrderKey> {
+        self.keys.first().copied()
     }
 
-    /// Borrows the entry with the worst (largest) average, i.e. the last
-    /// row of the paper's tables.
-    pub fn worst(&self) -> Option<&TableEntry> {
-        self.by_order.values().next_back()
+    /// Keys best-to-worst.
+    pub(crate) fn iter(&self) -> impl DoubleEndedIterator<Item = OrderKey> + '_ {
+        self.keys.iter().copied()
     }
 
-    /// Borrows the entry with the best (smallest) average.
-    pub fn best(&self) -> Option<&TableEntry> {
-        self.by_order.values().next()
-    }
-
-    /// Removes and returns the worst entry (the paper's
-    /// `RemoveLastEntry`).
-    pub fn pop_worst(&mut self) -> Option<TableEntry> {
-        let (&key, _) = self.by_order.iter().next_back()?;
-        let entry = self.by_order.remove(&key)?;
-        self.by_object.remove(&entry.object);
-        Some(entry)
-    }
-
-    /// The stored average of the worst entry; `None` when the table still
-    /// has room (in which case any candidate is admitted).
-    pub fn worst_average(&self) -> Option<Tick> {
-        if self.is_full() {
-            self.worst().map(|e| e.average)
-        } else {
-            None
-        }
-    }
-
-    /// The *aged* average of the worst entry (Figure 4 of the paper),
-    /// `None` when the table still has room.
-    pub fn worst_aged_average(&self, now: Tick) -> Option<Tick> {
-        if self.is_full() {
-            self.worst().map(|e| e.aged_average(now))
-        } else {
-            None
-        }
-    }
-
-    /// Decides whether a candidate with stored average `average` may enter
-    /// the table at time `now`.
+    /// Decides whether a candidate with stored average `average` may
+    /// enter at time `now`; `row` reads the entry in a slot.
     ///
     /// Admission is automatic while the table has room; once full, the
     /// candidate "[has] to have a lower average value than the worst case
-    /// currently residing in the table". With `aged == true` the worst
-    /// entry's threshold is its aged average.
-    pub fn admits(&self, average: Tick, now: Tick, aged: bool) -> bool {
-        let threshold = if aged {
-            self.worst_aged_average(now)
-        } else {
-            self.worst_average()
-        };
-        match threshold {
+    /// currently residing in the table". With `aged` the worst entry's
+    /// threshold is its aged average (Figure 4 of the paper).
+    pub(crate) fn admits<'a>(
+        &self,
+        average: Tick,
+        now: Tick,
+        aged: bool,
+        row: impl FnOnce(usize) -> &'a TableEntry,
+    ) -> bool {
+        if !self.is_full() {
+            return true;
+        }
+        match self.worst() {
             None => true,
-            Some(worst) => average < worst,
+            Some(worst) => {
+                let worst = row(worst.slot);
+                let threshold = if aged {
+                    worst.aged_average(now)
+                } else {
+                    worst.average
+                };
+                average < threshold
+            }
         }
     }
 
-    /// Iterates entries best-to-worst.
-    pub fn iter(&self) -> impl Iterator<Item = &TableEntry> {
-        self.by_order.values()
-    }
-
-    /// Debug-build invariants: both views agree, the capacity bound
-    /// holds, and the order index really is ascending (best <= worst,
-    /// FIFO among equal averages by sequence).
-    #[inline]
-    fn debug_check(&self) {
-        debug_assert_eq!(
-            self.by_object.len(),
-            self.by_order.len(),
-            "object index and order index must stay in sync"
-        );
-        debug_assert!(
-            self.by_order.len() <= self.capacity,
-            "ordered table exceeded its capacity bound"
-        );
-        debug_assert!(
-            self.best()
-                .zip(self.worst())
-                .is_none_or(|(b, w)| b.average <= w.average),
-            "ordered table lost ascending-average order"
-        );
-    }
-
-    /// Removes all entries.
-    pub fn clear(&mut self) {
-        self.by_object.clear();
-        self.by_order.clear();
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Location;
+    use crate::ids::{Location, ObjectId};
 
-    fn entry(id: u64, average: Tick, last: Tick) -> TableEntry {
-        let mut e = TableEntry::new(ObjectId::new(id), Location::This, last);
-        e.average = average;
-        e.hits = 2;
-        e
+    fn key(average: Tick, seq: u64) -> OrderKey {
+        OrderKey {
+            average,
+            seq,
+            slot: seq as usize,
+        }
+    }
+
+    fn rows(avgs_lasts: &[(Tick, Tick)]) -> Vec<TableEntry> {
+        avgs_lasts
+            .iter()
+            .enumerate()
+            .map(|(i, &(average, last))| {
+                let mut e = TableEntry::new(ObjectId::new(i as u64), Location::This, last);
+                e.average = average;
+                e.hits = 2;
+                e
+            })
+            .collect()
     }
 
     #[test]
-    fn keeps_ascending_order() {
-        let mut t = OrderedTable::new(10);
-        t.insert(entry(1, 300, 0));
-        t.insert(entry(2, 100, 0));
-        t.insert(entry(3, 200, 0));
-        let avgs: Vec<Tick> = t.iter().map(|e| e.average).collect();
-        assert_eq!(avgs, vec![100, 200, 300]);
-        assert_eq!(t.best().unwrap().object, ObjectId::new(2));
-        assert_eq!(t.worst().unwrap().object, ObjectId::new(1));
-    }
-
-    #[test]
-    fn ties_resolve_fifo() {
-        let mut t = OrderedTable::new(10);
-        t.insert(entry(1, 100, 0));
-        t.insert(entry(2, 100, 0));
-        // Entry 2 arrived later, so it is "worse" among equals.
-        assert_eq!(t.worst().unwrap().object, ObjectId::new(2));
+    fn keeps_ascending_order_with_fifo_ties() {
+        let mut t = Ordered::new(10);
+        t.insert(key(300, 0));
+        t.insert(key(100, 1));
+        t.insert(key(100, 2));
+        let order: Vec<u64> = t.iter().map(|k| k.seq).collect();
+        // Entry 2 arrived after entry 1 with the same average: worse.
+        assert_eq!(order, vec![1, 2, 0]);
+        assert_eq!(t.best().unwrap().seq, 1);
+        assert_eq!(t.worst().unwrap().seq, 0);
     }
 
     #[test]
     fn admits_everything_until_full() {
-        let mut t = OrderedTable::new(2);
-        assert!(t.admits(u64::MAX, 0, false));
-        t.insert(entry(1, 10, 0));
-        assert!(t.admits(u64::MAX, 0, false));
-        t.insert(entry(2, 20, 0));
-        assert!(!t.admits(20, 0, false));
-        assert!(t.admits(19, 0, false));
+        let slab = rows(&[(10, 0), (20, 0)]);
+        let mut t = Ordered::new(2);
+        assert!(t.admits(u64::MAX, 0, false, |s| &slab[s]));
+        t.insert(key(10, 0));
+        assert!(t.admits(u64::MAX, 0, false, |s| &slab[s]));
+        t.insert(key(20, 1));
+        assert!(!t.admits(20, 0, false, |s| &slab[s]));
+        assert!(t.admits(19, 0, false, |s| &slab[s]));
     }
 
     #[test]
     fn aged_admission_lets_candidates_beat_stale_worst() {
-        let mut t = OrderedTable::new(1);
         // Worst entry: avg 100, last seen at t=0.
-        t.insert(entry(1, 100, 0));
+        let slab = rows(&[(100, 0)]);
+        let mut t = Ordered::new(1);
+        t.insert(key(100, 0));
         // Plain admission: candidate with avg 150 rejected.
-        assert!(!t.admits(150, 1000, false));
+        assert!(!t.admits(150, 1000, false, |s| &slab[s]));
         // Aged: worst aged avg = (100 + 1000) / 2 = 550, so 150 enters.
-        assert!(t.admits(150, 1000, true));
+        assert!(t.admits(150, 1000, true, |s| &slab[s]));
     }
 
     #[test]
-    fn insert_when_full_evicts_worst() {
-        let mut t = OrderedTable::new(2);
-        t.insert(entry(1, 10, 0));
-        t.insert(entry(2, 500, 0));
-        let evicted = t.insert(entry(3, 100, 0)).expect("eviction");
-        assert_eq!(evicted.object, ObjectId::new(2));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.worst().unwrap().object, ObjectId::new(3));
-    }
-
-    #[test]
-    fn remove_then_reinsert_reorders() {
-        let mut t = OrderedTable::new(10);
-        t.insert(entry(1, 100, 0));
-        t.insert(entry(2, 200, 0));
-        let mut e = t.remove(ObjectId::new(2)).unwrap();
-        e.average = 50;
-        t.insert(e);
-        assert_eq!(t.best().unwrap().object, ObjectId::new(2));
-    }
-
-    #[test]
-    fn pop_worst_empties_table() {
-        let mut t = OrderedTable::new(4);
+    fn pop_worst_empties_in_descending_order() {
+        let mut t = Ordered::new(4);
         for i in 0..4 {
-            t.insert(entry(i, i * 10, 0));
+            t.insert(key(i * 10, i));
         }
         let mut seen = Vec::new();
-        while let Some(e) = t.pop_worst() {
-            seen.push(e.average);
+        while let Some(k) = t.pop_worst() {
+            seen.push(k.average);
         }
         assert_eq!(seen, vec![30, 20, 10, 0]);
-        assert!(t.is_empty());
-        assert_eq!(t.worst_average(), None);
-    }
-
-    #[test]
-    fn worst_average_none_until_full() {
-        let mut t = OrderedTable::new(2);
-        t.insert(entry(1, 10, 0));
-        assert_eq!(t.worst_average(), None);
-        t.insert(entry(2, 20, 0));
-        assert_eq!(t.worst_average(), Some(20));
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = OrderedTable::new(0);
-    }
-
-    #[test]
-    fn get_and_contains() {
-        let mut t = OrderedTable::new(2);
-        t.insert(entry(7, 10, 0));
-        assert!(t.contains(ObjectId::new(7)));
-        assert_eq!(t.get(ObjectId::new(7)).unwrap().average, 10);
-        assert!(!t.contains(ObjectId::new(8)));
-        assert!(t.get(ObjectId::new(8)).is_none());
+        let _ = Ordered::new(0);
     }
 }

@@ -16,17 +16,25 @@
 
 use crate::agent::{ActionSink, CacheAgent, CacheEvent};
 use crate::entry::{TableEntry, Tick};
-use crate::ids::{Location, NodeId, ObjectId, ProxyId, RequestId};
+use crate::hash::IdMap;
+use crate::ids::{Location, NodeId, ObjectId, ProxyId};
 use crate::message::{Reply, Request};
+use crate::pending::PendingHops;
 use crate::proxy::DEFAULT_OBJECT_SIZE;
 use crate::stats::ProxyStats;
-use crate::tables::OrderedTable;
+use crate::tables::ordered::{OrderKey, Ordered};
 use adc_obs::{Probe, SimEvent, TableLevel};
 use rand::Rng;
 use rand::RngCore;
-// Keyed access only, never iterated: hasher randomization cannot leak
-// into simulation order. adc-lint: allow(default-hasher)
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+
+/// One mapping row and, when the object is cached, the sequence number
+/// of its key in the caching table's order.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    entry: TableEntry,
+    cached: Option<u64>,
+}
 
 /// An ADC proxy with an unbounded mapping table (the paper's earlier
 /// design, for comparison).
@@ -45,13 +53,16 @@ pub struct UnlimitedAdcProxy {
     id: ProxyId,
     peers: Vec<ProxyId>,
     max_hops: u32,
-    /// The unbounded object → entry map. Keyed access only, never
-    /// iterated. adc-lint: allow(default-hasher)
-    mapping: HashMap<ObjectId, TableEntry>,
-    /// Bounded selective caching table, same as the bounded design.
-    cached: OrderedTable,
-    /// Keyed access only, never iterated. adc-lint: allow(default-hasher)
-    pending: HashMap<RequestId, Vec<NodeId>>,
+    /// Every object ever seen → its row in `rows`.
+    index: IdMap<ObjectId, usize>,
+    /// The unbounded mapping, one row per object in order of first
+    /// sighting; rows are never removed (until a reset).
+    rows: Vec<Row>,
+    /// Bounded selective caching table over `rows`, ordered as in the
+    /// bounded design.
+    cached: Ordered,
+    next_seq: u64,
+    pending: PendingHops,
     local_time: Tick,
     stats: ProxyStats,
     cache_events: Vec<CacheEvent>,
@@ -72,10 +83,11 @@ impl UnlimitedAdcProxy {
             id,
             peers: (0..num_proxies).map(ProxyId::new).collect(),
             max_hops,
-            // Keyed access only, never iterated: hasher can't leak order.
-            mapping: HashMap::new(), // adc-lint: allow(default-hasher, determinism-purity)
-            cached: OrderedTable::new(cache_capacity),
-            pending: HashMap::new(), // adc-lint: allow(default-hasher, determinism-purity)
+            index: IdMap::default(),
+            rows: Vec::new(),
+            cached: Ordered::new(cache_capacity),
+            next_seq: 0,
+            pending: PendingHops::new(),
             local_time: 0,
             stats: ProxyStats::default(),
             cache_events: Vec::new(),
@@ -85,7 +97,7 @@ impl UnlimitedAdcProxy {
     /// Current number of mapping entries — the unbounded memory cost the
     /// bounded three-table design exists to avoid.
     pub fn mapping_entries(&self) -> usize {
-        self.mapping.len() + self.cached.len()
+        self.rows.len()
     }
 
     /// The proxy's local request-count clock.
@@ -100,84 +112,114 @@ impl UnlimitedAdcProxy {
 
     fn update_entry<P: Probe>(&mut self, object: ObjectId, location: Location, probe: &mut P) {
         let now = self.local_time;
-        // Cached entries refresh in place.
-        if let Some(mut entry) = self.cached.remove(object) {
-            if entry.last != now {
-                entry.calc_average(now);
-            }
-            entry.location = location;
-            self.cached.insert(entry);
-            return;
-        }
-        match self.mapping.get_mut(&object) {
-            Some(entry) => {
-                if entry.last != now {
-                    entry.calc_average(now);
-                }
-                entry.location = location;
-                // Selective admission straight from the unbounded map.
-                if entry.has_average() && self.cached.admits(entry.average, now, true) {
-                    let entry = self
-                        .mapping
-                        .remove(&object)
-                        // Invariant: get_mut above proved membership.
-                        // adc-lint: allow(panic)
-                        .expect("entry was just borrowed");
-                    if self.cached.is_full() {
-                        let worst = self
-                            .cached
-                            .pop_worst()
-                            // Invariant: is_full() ⇒ non-empty.
-                            // adc-lint: allow(panic)
-                            .expect("full caching table has a worst entry");
-                        self.stats.cache_evictions += 1;
-                        self.cache_events.push(CacheEvent::Evict(worst.object));
-                        if P::ENABLED {
-                            probe.emit(SimEvent::CacheEvict {
-                                proxy: self.id.raw(),
-                                object: worst.object.raw(),
-                            });
-                            probe.emit(SimEvent::TableMigration {
-                                proxy: self.id.raw(),
-                                object: worst.object.raw(),
-                                from: TableLevel::Caching,
-                                to: TableLevel::Multiple,
-                            });
-                        }
-                        self.mapping.insert(worst.object, worst);
-                    }
-                    self.stats.cache_insertions += 1;
-                    self.cache_events.push(CacheEvent::Store(object));
-                    if P::ENABLED {
-                        probe.emit(SimEvent::CacheInsert {
-                            proxy: self.id.raw(),
-                            object: object.raw(),
-                        });
-                        // The unbounded map plays the multiple-table's role.
-                        probe.emit(SimEvent::TableMigration {
-                            proxy: self.id.raw(),
-                            object: object.raw(),
-                            from: TableLevel::Multiple,
-                            to: TableLevel::Caching,
-                        });
-                    }
-                    self.cached.insert(entry);
-                }
-            }
-            None => {
+        let slot = match self.index.entry(object) {
+            Entry::Occupied(found) => *found.get(),
+            Entry::Vacant(vacant) => {
                 // Unbounded growth: every new object gets an entry,
                 // forever.
-                self.mapping
-                    .insert(object, TableEntry::new(object, location, now));
+                vacant.insert(self.rows.len());
+                self.rows.push(Row {
+                    entry: TableEntry::new(object, location, now),
+                    cached: None,
+                });
+                return;
+            }
+        };
+        let Row { entry, cached } = *self.row_at(slot);
+        if let Some(seq) = cached {
+            // Cached entries refresh in place.
+            self.cached.remove(OrderKey {
+                average: entry.average,
+                seq,
+                slot,
+            });
+        }
+        let entry = &mut self.row_mut(slot).entry;
+        if entry.last != now {
+            entry.calc_average(now);
+        }
+        entry.location = location;
+        let (average, has_average) = (entry.average, entry.has_average());
+        if cached.is_some() {
+            self.insert_cached(slot);
+            return;
+        }
+        // Selective admission straight from the unbounded map.
+        let admitted = has_average
+            && self
+                .cached
+                .admits(average, now, true, |s| &self.row_at(s).entry);
+        if !admitted {
+            return;
+        }
+        if self.cached.is_full() {
+            if let Some(worst) = self.cached.pop_worst() {
+                let row = self.row_mut(worst.slot);
+                row.cached = None;
+                let evicted = row.entry.object;
+                self.stats.cache_evictions += 1;
+                self.cache_events.push(CacheEvent::Evict(evicted));
+                if P::ENABLED {
+                    probe.emit(SimEvent::CacheEvict {
+                        proxy: self.id.raw(),
+                        object: evicted.raw(),
+                    });
+                    probe.emit(SimEvent::TableMigration {
+                        proxy: self.id.raw(),
+                        object: evicted.raw(),
+                        from: TableLevel::Caching,
+                        to: TableLevel::Multiple,
+                    });
+                }
             }
         }
+        self.stats.cache_insertions += 1;
+        self.cache_events.push(CacheEvent::Store(object));
+        if P::ENABLED {
+            probe.emit(SimEvent::CacheInsert {
+                proxy: self.id.raw(),
+                object: object.raw(),
+            });
+            // The unbounded map plays the multiple-table's role.
+            probe.emit(SimEvent::TableMigration {
+                proxy: self.id.raw(),
+                object: object.raw(),
+                from: TableLevel::Multiple,
+                to: TableLevel::Caching,
+            });
+        }
+        self.insert_cached(slot);
+    }
+
+    /// Keys row `slot` into the caching table under a fresh sequence
+    /// number. The caller has made room.
+    fn insert_cached(&mut self, slot: usize) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let row = self.row_mut(slot);
+        row.cached = Some(seq);
+        let average = row.entry.average;
+        self.cached.insert(OrderKey { average, seq, slot });
+    }
+
+    fn row(&self, object: ObjectId) -> Option<&Row> {
+        self.index.get(&object).map(|&slot| self.row_at(slot))
+    }
+
+    /// The row in `slot`. Every slot id the proxy stores — in the index
+    /// or in an order key — names a pushed row, and rows are only dropped
+    /// all at once by a reset, so stored ids are always in bounds.
+    fn row_at(&self, slot: usize) -> &Row {
+        &self.rows[slot] // in bounds: see above
+    }
+
+    /// Mutable [`Self::row_at`].
+    fn row_mut(&mut self, slot: usize) -> &mut Row {
+        &mut self.rows[slot] // in bounds: see `row_at`
     }
 
     fn lookup_location(&self, object: ObjectId) -> Option<Location> {
-        self.cached
-            .get(object)
-            .map(|e| e.location)
-            .or_else(|| self.mapping.get(&object).map(|e| e.location))
+        self.row(object).map(|r| r.entry.location)
     }
 }
 
@@ -197,7 +239,7 @@ impl CacheAgent for UnlimitedAdcProxy {
         self.stats.requests_received += 1;
         let object = request.object;
 
-        if self.cached.contains(object) {
+        if self.is_cached(object) {
             self.stats.local_hits += 1;
             if P::ENABLED {
                 probe.emit(SimEvent::LocalHit {
@@ -211,11 +253,7 @@ impl CacheAgent for UnlimitedAdcProxy {
             return;
         }
 
-        let loop_detected = self.pending.contains_key(&request.id);
-        self.pending
-            .entry(request.id)
-            .or_default()
-            .push(request.sender);
+        let loop_detected = self.pending.push(request.id, request.sender);
 
         let mut forwarded = request;
         forwarded.sender = NodeId::Proxy(self.id);
@@ -282,27 +320,15 @@ impl CacheAgent for UnlimitedAdcProxy {
     }
 
     fn on_reply<P: Probe>(&mut self, reply: Reply, probe: &mut P, out: &mut ActionSink) {
-        let prev_hop = {
-            let stack = match self.pending.get_mut(&reply.id) {
-                Some(s) => s,
-                None => {
-                    self.stats.replies_orphaned += 1;
-                    if P::ENABLED {
-                        probe.emit(SimEvent::ReplyOrphaned {
-                            proxy: self.id.raw(),
-                            object: reply.object.raw(),
-                        });
-                    }
-                    return;
-                }
-            };
-            // Invariant: stacks are removed when their last hop pops.
-            // adc-lint: allow(panic)
-            let hop = stack.pop().expect("pending stacks are never empty");
-            if stack.is_empty() {
-                self.pending.remove(&reply.id);
+        let Some(prev_hop) = self.pending.pop(reply.id) else {
+            self.stats.replies_orphaned += 1;
+            if P::ENABLED {
+                probe.emit(SimEvent::ReplyOrphaned {
+                    proxy: self.id.raw(),
+                    object: reply.object.raw(),
+                });
             }
-            hop
+            return;
         };
         self.stats.replies_processed += 1;
 
@@ -321,7 +347,7 @@ impl CacheAgent for UnlimitedAdcProxy {
         }
         self.update_entry(reply.object, Location::from_proxy(resolver, self.id), probe);
 
-        if self.cached.contains(reply.object) && reply.cached_by.is_none() {
+        if self.is_cached(reply.object) && reply.cached_by.is_none() {
             reply.resolver = Some(self.id);
             reply.cached_by = Some(self.id);
         }
@@ -341,7 +367,7 @@ impl CacheAgent for UnlimitedAdcProxy {
     }
 
     fn is_cached(&self, object: ObjectId) -> bool {
-        self.cached.contains(object)
+        self.row(object).is_some_and(|r| r.cached.is_some())
     }
 
     fn owner_hint(&self, object: ObjectId) -> Option<ProxyId> {
@@ -349,7 +375,8 @@ impl CacheAgent for UnlimitedAdcProxy {
     }
 
     fn reset(&mut self) {
-        self.mapping.clear();
+        self.index.clear();
+        self.rows.clear();
         self.cached.clear();
         self.pending.clear();
         self.cache_events.clear();
@@ -360,7 +387,7 @@ impl CacheAgent for UnlimitedAdcProxy {
 mod tests {
     use super::*;
     use crate::agent::Action;
-    use crate::ids::ClientId;
+    use crate::ids::{ClientId, RequestId};
     use crate::message::Message;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -443,17 +470,27 @@ mod tests {
 
     #[test]
     fn hits_single_entry_invariant() {
-        // No object is ever both cached and in the mapping.
+        // Every object keeps exactly one row, and the caching table's
+        // order keys name exactly the rows marked cached.
         let mut p = UnlimitedAdcProxy::new(ProxyId::new(0), 1, 2, 8);
         let mut rng = StdRng::seed_from_u64(3);
         for seq in 0..200u64 {
             resolve(&mut p, &mut rng, seq, seq % 7);
         }
+        assert_eq!(p.mapping_entries(), 7);
         for o in 0..7u64 {
-            let in_cache = p.cached.contains(ObjectId::new(o));
-            let in_map = p.mapping.contains_key(&ObjectId::new(o));
-            assert!(!(in_cache && in_map), "object {o} in both structures");
-            assert!(in_cache || in_map, "object {o} lost entirely");
+            assert!(p.row(ObjectId::new(o)).is_some(), "object {o} lost");
+        }
+        let marked: Vec<usize> = (0..p.rows.len())
+            .filter(|&s| p.rows[s].cached.is_some())
+            .collect();
+        let mut keyed: Vec<usize> = p.cached.iter().map(|k| k.slot).collect();
+        keyed.sort_unstable();
+        assert_eq!(marked, keyed);
+        assert!(keyed.len() <= 2);
+        for k in p.cached.iter() {
+            assert_eq!(p.rows[k.slot].cached, Some(k.seq));
+            assert_eq!(p.rows[k.slot].entry.average, k.average);
         }
     }
 }

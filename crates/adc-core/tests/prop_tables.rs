@@ -1,6 +1,6 @@
 //! Property-based tests of the mapping-table machinery.
 
-use adc_core::tables::{LruList, MappingTables, OrderedTable, SingleTable};
+use adc_core::tables::{LruList, MappingTables};
 use adc_core::{AgingMode, Location, ObjectId, ProxyId, TableEntry};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -160,73 +160,47 @@ proptest! {
         }
     }
 
-    /// `OrderedTable` keeps ascending order and exact membership under
-    /// arbitrary insert/remove/pop sequences.
+    /// The three views partition the one index: every object a view
+    /// lists is found by `lookup` with the same row and by no other view,
+    /// the ordered views run best-first and the view sizes add up to the
+    /// slab.
     #[test]
-    fn ordered_table_stays_ordered(
-        ops in prop::collection::vec((0u8..3, 0u64..30, 0u64..1000), 1..300),
-        cap in 1usize..16,
+    fn views_partition_the_index(
+        updates in arb_updates(300, 40),
+        single in 1usize..10,
+        multiple in 1usize..10,
+        cache in 1usize..6,
     ) {
-        let mut table = OrderedTable::new(cap);
-        let mut members = std::collections::HashSet::new();
-        for (op, object, avg) in ops {
-            match op {
-                0 => {
-                    if !members.contains(&object) {
-                        let mut e = TableEntry::new(ObjectId::new(object), Location::This, 0);
-                        e.average = avg;
-                        e.hits = 2;
-                        if let Some(evicted) = table.insert(e) {
-                            members.remove(&evicted.object.raw());
-                        }
-                        members.insert(object);
-                    }
-                }
-                1 => {
-                    let got = table.remove(ObjectId::new(object));
-                    prop_assert_eq!(got.is_some(), members.remove(&object));
-                }
-                _ => {
-                    if let Some(worst) = table.pop_worst() {
-                        members.remove(&worst.object.raw());
-                        // Nothing remaining is worse.
-                        for e in table.iter() {
-                            prop_assert!(e.average <= worst.average);
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(table.len(), members.len());
-            prop_assert!(table.len() <= cap);
-            let avgs: Vec<u64> = table.iter().map(|e| e.average).collect();
+        let mut tables = MappingTables::new(single, multiple, cache, AgingMode::AgedWorst);
+        let mut now = 0;
+        for u in updates {
+            now += u.advance;
+            tables.update_entry(ObjectId::new(u.object), location_of(u), now);
+        }
+        let (s, m, c) = (tables.single(), tables.multiple(), tables.cached());
+        prop_assert_eq!(s.len() + m.len() + c.len(), tables.slab_len());
+        prop_assert_eq!(s.iter().count(), s.len());
+        for e in s.iter().chain(m.iter()).chain(c.iter()) {
+            prop_assert_eq!(tables.lookup(e.object), Some(e));
+            let holders = usize::from(s.contains(e.object))
+                + usize::from(m.contains(e.object))
+                + usize::from(c.contains(e.object));
+            prop_assert_eq!(holders, 1);
+            prop_assert_eq!(tables.is_cached(e.object), c.contains(e.object));
+        }
+        for view in [m, c] {
+            let avgs: Vec<u64> = view.iter().map(|e| e.average).collect();
             let mut sorted = avgs.clone();
             sorted.sort_unstable();
-            prop_assert_eq!(avgs, sorted);
+            prop_assert_eq!(&avgs, &sorted);
+            prop_assert_eq!(view.worst().map(|e| e.average), avgs.last().copied());
+            prop_assert_eq!(view.best().map(|e| e.average), avgs.first().copied());
         }
-    }
-
-    /// The single-table is a bounded LRU: capacity respected, newest
-    /// first, and the displaced entry is always the oldest.
-    #[test]
-    fn single_table_is_bounded_lru(objects in prop::collection::vec(0u64..40, 1..200), cap in 1usize..10) {
-        let mut table = SingleTable::new(cap);
-        let mut model: VecDeque<u64> = VecDeque::new();
-        for (i, o) in objects.into_iter().enumerate() {
-            if table.contains(ObjectId::new(o)) {
-                table.remove(ObjectId::new(o));
-                model.retain(|&k| k != o);
+        for o in 0..40u64 {
+            let id = ObjectId::new(o);
+            if tables.lookup(id).is_none() {
+                prop_assert!(!s.contains(id) && !m.contains(id) && !c.contains(id));
             }
-            let dropped = table.push_top(TableEntry::new(ObjectId::new(o), Location::This, i as u64));
-            model.push_front(o);
-            if model.len() > cap {
-                let oldest = model.pop_back();
-                prop_assert_eq!(dropped.map(|e| e.object.raw()), oldest);
-            } else {
-                prop_assert!(dropped.is_none());
-            }
-            let order: Vec<u64> = table.iter().map(|e| e.object.raw()).collect();
-            let model_order: Vec<u64> = model.iter().copied().collect();
-            prop_assert_eq!(order, model_order);
         }
     }
 

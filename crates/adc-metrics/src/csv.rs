@@ -180,6 +180,17 @@ pub fn read_series_file(path: impl AsRef<Path>) -> io::Result<Vec<Series>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A fresh directory path per call: the pid keeps concurrent test
+    /// binaries apart, the counter keeps parallel test threads apart.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        // ordering: the counter only has to hand out distinct values.
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("adc-metrics-{tag}-{}-{n}", std::process::id()))
+    }
 
     #[test]
     fn writes_simple_table() {
@@ -206,7 +217,7 @@ mod tests {
 
     #[test]
     fn series_file_round_trip() {
-        let dir = std::env::temp_dir().join("adc-metrics-test");
+        let dir = scratch_dir("test");
         let path = dir.join("series.csv");
         let mut a = Series::new("adc");
         a.push(5000.0, 0.1);
@@ -224,7 +235,7 @@ mod tests {
 
     #[test]
     fn series_file_read_round_trip() {
-        let dir = std::env::temp_dir().join("adc-metrics-read-test");
+        let dir = scratch_dir("read-test");
         let path = dir.join("rt.csv");
         let mut a = Series::new("adc");
         a.push(1.0, 0.25);
@@ -241,7 +252,7 @@ mod tests {
 
     #[test]
     fn read_rejects_garbage() {
-        let dir = std::env::temp_dir().join("adc-metrics-badread-test");
+        let dir = scratch_dir("badread-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.csv");
         std::fs::write(&path, "x,adc\n1.0,banana\n").unwrap();
@@ -277,8 +288,7 @@ mod tests {
 
     #[test]
     fn write_series_file_rejects_non_finite_points() {
-        let dir =
-            std::env::temp_dir().join(format!("adc-metrics-nonfinite-{}", std::process::id()));
+        let dir = scratch_dir("nonfinite");
         let path = dir.join("bad.csv");
         let mut s = Series::new("adc");
         s.push(1.0, f64::NAN);

@@ -28,16 +28,17 @@
 //!
 //! Every proxy keeps three bounded tables of
 //! [`TableEntry`](crate::TableEntry) rows `(OBJ-ID, PROXY, LAST, AVG,
-//! HITS)`; see [`tables`](crate::tables):
+//! HITS)`, all held by one [`tables::MappingTables`](crate::tables::MappingTables)
+//! (one row slab, one object index):
 //!
-//! * the **single-table** ([`tables::SingleTable`](crate::tables::SingleTable))
+//! * the **single-table** ([`tables::SingleView`](crate::tables::SingleView))
 //!   is an LRU list of objects seen exactly once — a probation area
 //!   sized so that "requests with at least two hits can occur";
-//! * the **multiple-table** ([`tables::OrderedTable`](crate::tables::OrderedTable))
+//! * the **multiple-table** ([`tables::OrderedView`](crate::tables::OrderedView))
 //!   holds objects seen at least twice, ordered by their average
 //!   inter-request time (best first);
-//! * the **caching table** (same structure) lists the objects whose data
-//!   is actually stored locally.
+//! * the **caching table** (the same kind of view) lists the objects whose
+//!   data is actually stored locally.
 //!
 //! The `AVG` column is the paper's whole popularity model: a two-point
 //! moving average of the gap between consecutive requests,
@@ -93,6 +94,7 @@
 //! | `Receive_Request` (Fig. 5) | `AdcProxy::on_request` |
 //! | `Forward_Addr` (Fig. 6) | `AdcProxy::forward_addr` (private; observable via stats) |
 //! | `Receive_Reply` (Fig. 7) | `AdcProxy::on_reply` |
+//! | backwarding information (§III.2) | [`PendingHops`](crate::PendingHops) |
 //! | `Update_Entry` (Fig. 8) | [`tables::MappingTables::update_entry`](crate::tables::MappingTables::update_entry) |
 //! | `Calc_Average` (Fig. 9) | [`TableEntry::calc_average`](crate::TableEntry::calc_average) |
 //! | aging (Fig. 4) | [`TableEntry::aged_average`](crate::TableEntry::aged_average) |
