@@ -20,15 +20,14 @@
 //!   per-proxy metrics registry and write the Prometheus text
 //!   exposition to this file;
 //! * `--shards <n>` — run the main ADC simulation on `n` worker shards
-//!   (the deterministic barrier-synchronized executor; `1`, the
-//!   default, uses the single-threaded runner);
+//!   of the deterministic barrier-synchronized executor (default 1);
 //! * `--spans <file.json>` — attach the causal flow-span recorder to the
 //!   main ADC run and write the per-segment / per-proxy latency
-//!   attribution report (single-threaded runs only);
-//! * `--profile-shards` — collect the sharded executor's wall-clock
-//!   profile (per-shard drain time, barrier-wait split, imbalance) on
-//!   the main run; with `--chrome-trace` the shard lanes are rendered
-//!   instead of the single-threaded event timeline.
+//!   attribution report (one-shard runs only, like `--events`);
+//! * `--profile-shards` — collect the executor's wall-clock profile
+//!   (per-shard drain time, barrier-wait split, imbalance) on the main
+//!   run; with `--chrome-trace` the shard lanes are rendered instead of
+//!   the event timeline.
 
 use crate::parallel::default_jobs;
 use crate::scale::Scale;
@@ -55,13 +54,13 @@ pub struct BenchArgs {
     pub convergence: bool,
     /// Write the main ADC run's Prometheus text exposition to this file.
     pub metrics: Option<PathBuf>,
-    /// Worker shards for the main ADC simulation (1 = single-threaded).
+    /// Worker shards for the main ADC simulation (1 = one thread).
     pub shards: usize,
     /// Write the main ADC run's flow-span attribution report (JSON) to
-    /// this file. Single-threaded runs only.
+    /// this file. One-shard runs only.
     pub spans: Option<PathBuf>,
-    /// Collect the sharded executor's wall-clock execution profile on
-    /// the main run.
+    /// Collect the executor's wall-clock execution profile on the main
+    /// run.
     pub profile_shards: bool,
 }
 

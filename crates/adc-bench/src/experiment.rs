@@ -93,19 +93,19 @@ impl Experiment {
         Simulation::new(self.adc_agents(), self.sim.clone()).run(trace.iter())
     }
 
-    /// [`run_adc_on`](Self::run_adc_on) on the sharded executor.
-    /// Sequential injection reproduces `run_adc_on` byte-for-byte at any
-    /// shard count; open-loop injection is invariant in `shards`.
+    /// [`run_adc_on`](Self::run_adc_on) on `shards` worker shards. The
+    /// report is byte-identical to `run_adc_on` at any shard count, in
+    /// either injection mode.
     ///
     /// # Panics
     ///
-    /// As [`Simulation::run_sharded`] (zero shards, faults/churn/tracing
-    /// enabled, or a zero-latency network).
+    /// As [`Simulation::run_sharded`] (zero shards, or with `shards > 1`
+    /// faults or tracing enabled or a zero-latency network).
     pub fn run_adc_sharded_on(&self, trace: &SharedTrace, shards: usize) -> SimReport {
         Simulation::new(self.adc_agents(), self.sim.clone()).run_sharded(trace.iter(), shards)
     }
 
-    /// [`run_carp_on`](Self::run_carp_on) on the sharded executor.
+    /// [`run_carp_on`](Self::run_carp_on) on `shards` worker shards.
     ///
     /// # Panics
     ///
@@ -156,7 +156,7 @@ impl Experiment {
     /// Runs arbitrary agents under this experiment's simulator settings
     /// over a pre-materialized trace, returning the report and the
     /// agents for post-run inspection.
-    pub fn run_agents_on<A: CacheAgent>(
+    pub fn run_agents_on<A: CacheAgent + Send>(
         &self,
         agents: Vec<A>,
         trace: &SharedTrace,
@@ -218,7 +218,7 @@ mod tests {
             assert_eq!(
                 single.to_deterministic_json(),
                 sharded.to_deterministic_json(),
-                "sharded ({shards}) diverged from the single-threaded run"
+                "sharded ({shards}) diverged from the one-shard run"
             );
         }
         let carp = e.run_carp_on(&trace);

@@ -1,26 +1,25 @@
 //! Observability wiring for the figure binaries: runs the main ADC
 //! simulation with a probe attached when any of `--events`,
-//! `--chrome-trace`, `--convergence` or `--metrics` was given, writes
-//! the requested exports, and prints a capture summary. Without those
-//! flags the run goes through the plain (probe-free) path, so default
-//! invocations stay bit-for-bit identical to the pre-observability
-//! harness.
+//! `--chrome-trace`, `--convergence`, `--metrics` or `--spans` was given,
+//! writes the requested exports, and prints a capture summary. Without
+//! those flags the run goes through the plain (probe-free) path, so
+//! default invocations stay bit-for-bit identical to the
+//! pre-observability harness.
 //!
-//! `--shards <n>` (n > 1) routes the main run through the sharded
-//! executor instead; its reports are byte-identical to the
-//! single-threaded runner's, so figure CSVs do not depend on the shard
-//! count. Convergence sampling and the metrics exposition compose with
-//! sharding; the typed event stream (`--events`) and the flow-span
-//! recorder (`--spans`) are single-threaded captures and are rejected
-//! in combination. `--chrome-trace` on a sharded run requires
-//! `--profile-shards` and renders the executor's wall-clock shard lanes
-//! (drain/wait slices, barrier instants) instead of the event timeline.
+//! `--shards <n>` (n > 1) runs the main simulation on `n` worker shards;
+//! reports are invariant in the shard count, so figure CSVs do not
+//! depend on it. Convergence sampling and the metrics exposition compose
+//! with sharding; the typed event stream (`--events`) and the flow-span
+//! recorder (`--spans`) need every event in one probe, so they are
+//! rejected with `--shards > 1`. `--profile-shards` adds the executor's
+//! wall-clock profile at any shard count, and `--chrome-trace` then
+//! renders its shard lanes (drain/wait slices, barrier instants) instead
+//! of the event timeline.
 
 use crate::cli::BenchArgs;
 use crate::experiment::Experiment;
 use adc_obs::{self, ConvergenceConfig, EventLog, MetricsProbe, SpanProbe};
-use adc_sim::SimReport;
-use adc_sim::Simulation;
+use adc_sim::{SimConfig, SimReport, Simulation};
 use std::io::BufWriter;
 use std::io::Write;
 use std::path::Path;
@@ -48,20 +47,13 @@ fn log_capacity(total_requests: u64) -> usize {
 /// for it. Exports are written immediately; capture and convergence
 /// summaries go to stderr so figure stdout stays machine-readable.
 pub fn run_adc_observed(experiment: &Experiment, args: &BenchArgs) -> SimReport {
-    if args.shards > 1 || args.profile_shards {
+    if args.shards > 1 {
         return run_adc_sharded_observed(experiment, args);
     }
-    if !obs_enabled(args) {
+    if !obs_enabled(args) && !args.profile_shards {
         return experiment.run_adc();
     }
 
-    let mut sim = experiment.sim.clone();
-    if args.convergence {
-        sim.convergence = Some(ConvergenceConfig {
-            sample_every: sim.sample_every,
-            ..ConvergenceConfig::default()
-        });
-    }
     // One observed run feeds every export: the bounded event log, the
     // metrics registry and the span recorder all ride the same probe
     // stack (each is a pure consumer, so the composition is free of
@@ -71,7 +63,7 @@ pub fn run_adc_observed(experiment: &Experiment, args: &BenchArgs) -> SimReport 
         (EventLog::with_capacity(capacity), MetricsProbe::new()),
         SpanProbe::new(),
     );
-    let mut report = Simulation::new(experiment.adc_agents(), sim)
+    let mut report = Simulation::new(experiment.adc_agents(), observed_config(experiment, args))
         .run_observed(experiment.workload.build(), &mut probe);
     let ((log, metrics), span_probe) = probe;
     if let Some(path) = &args.metrics {
@@ -94,33 +86,18 @@ pub fn run_adc_observed(experiment: &Experiment, args: &BenchArgs) -> SimReport 
     if let Some(path) = &args.events {
         write_events_jsonl(path, &log);
     }
-    if let Some(path) = &args.chrome_trace {
-        write_chrome(path, &log);
+    if report.shard_profile.is_none() {
+        if let Some(path) = &args.chrome_trace {
+            write_chrome(path, &log);
+        }
     }
-    print_convergence_summary(&report);
+    print_summaries(&report, args);
     report
 }
 
-/// The main ADC run on the sharded executor: convergence, metrics and
-/// the execution profiler compose with sharding; the typed event stream
-/// and the span recorder do not.
-fn run_adc_sharded_observed(experiment: &Experiment, args: &BenchArgs) -> SimReport {
-    if args.events.is_some() || args.spans.is_some() {
-        eprintln!(
-            "--events/--spans capture the single-threaded runner's \
-             event stream and cannot be combined with --shards > 1 \
-             or --profile-shards"
-        );
-        std::process::exit(2);
-    }
-    if args.chrome_trace.is_some() && !args.profile_shards {
-        eprintln!(
-            "--chrome-trace on a sharded run renders the executor's \
-             wall-clock shard lanes and requires --profile-shards \
-             (single-threaded runs render the event timeline instead)"
-        );
-        std::process::exit(2);
-    }
+/// The experiment's simulator settings with the flags' convergence
+/// sampling and execution profiling applied.
+fn observed_config(experiment: &Experiment, args: &BenchArgs) -> SimConfig {
     let mut sim = experiment.sim.clone();
     if args.convergence {
         sim.convergence = Some(ConvergenceConfig {
@@ -129,8 +106,30 @@ fn run_adc_sharded_observed(experiment: &Experiment, args: &BenchArgs) -> SimRep
         });
     }
     sim.shard.profile = args.profile_shards;
+    sim
+}
+
+/// The main ADC run on several shards: convergence, metrics and the
+/// execution profiler compose with sharding; the typed event stream and
+/// the span recorder do not.
+fn run_adc_sharded_observed(experiment: &Experiment, args: &BenchArgs) -> SimReport {
+    if args.events.is_some() || args.spans.is_some() {
+        eprintln!(
+            "--events/--spans need every event in one probe and cannot be \
+             combined with --shards > 1"
+        );
+        std::process::exit(2);
+    }
+    if args.chrome_trace.is_some() && !args.profile_shards {
+        eprintln!(
+            "--chrome-trace on a sharded run renders the executor's \
+             wall-clock shard lanes and requires --profile-shards \
+             (one-shard runs render the event timeline instead)"
+        );
+        std::process::exit(2);
+    }
     eprintln!("sharded executor: {} worker shards", args.shards);
-    let simulation = Simulation::new(experiment.adc_agents(), sim);
+    let simulation = Simulation::new(experiment.adc_agents(), observed_config(experiment, args));
     let report = if let Some(path) = &args.metrics {
         let report = simulation.run_sharded_with_metrics(experiment.workload.build(), args.shards);
         let metrics = report.metrics.as_ref().expect("metrics probe was on");
@@ -139,17 +138,19 @@ fn run_adc_sharded_observed(experiment: &Experiment, args: &BenchArgs) -> SimRep
     } else {
         simulation.run_sharded(experiment.workload.build(), args.shards)
     };
+    print_summaries(&report, args);
+    report
+}
+
+/// Prints the shard profile (rendering its lanes for `--chrome-trace`)
+/// and the convergence summary, when the run produced them.
+fn print_summaries(report: &SimReport, args: &BenchArgs) {
     if let Some(profile) = &report.shard_profile {
         eprintln!("shard profile: {}", profile.summary());
         if let Some(path) = &args.chrome_trace {
             write_shard_lanes_trace(path, profile);
         }
     }
-    print_convergence_summary(&report);
-    report
-}
-
-fn print_convergence_summary(report: &SimReport) {
     if let Some(conv) = &report.convergence {
         eprintln!(
             "convergence: {} samples, final agreement {:.4}, {} remaps, {} churn",
@@ -379,6 +380,25 @@ mod tests {
         let observed = run_adc_observed(&experiment, &args);
         let profile = observed.shard_profile.expect("profiler was on");
         assert_eq!(profile.shards, 1);
+    }
+
+    #[test]
+    fn events_compose_with_the_profiler_at_one_shard() {
+        let path = std::env::temp_dir().join(format!(
+            "adc_bench_profiled_events_test_{}.jsonl",
+            std::process::id()
+        ));
+        let args = BenchArgs {
+            events: Some(path.clone()),
+            profile_shards: true,
+            ..BenchArgs::default()
+        };
+        let experiment = Experiment::at_scale(Scale::Custom(0.002));
+        let observed = run_adc_observed(&experiment, &args);
+        assert!(observed.shard_profile.is_some(), "profiler was on");
+        let text = std::fs::read_to_string(&path).expect("event file written");
+        std::fs::remove_file(&path).ok();
+        assert!(text.lines().count() as u64 > observed.completed);
     }
 
     #[test]

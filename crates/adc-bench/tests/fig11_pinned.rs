@@ -125,14 +125,13 @@ fn fig11_micro_counts_match_golden() {
     );
 }
 
-/// The same scenario on the sharded executor must reproduce the *same*
-/// golden file: sequential injection on N shards is defined to be
-/// byte-identical to the single-threaded runner, so this test is never
+/// The same scenario on four shards must reproduce the *same* golden
+/// file: reports are invariant in the shard count, so this test is never
 /// re-blessed separately — any divergence is a sharding bug.
 #[test]
 fn fig11_micro_counts_match_golden_on_the_sharded_executor() {
     if std::env::var_os("ADC_BLESS_GOLDEN").is_some() {
-        return; // blessing is the single-threaded test's job
+        return; // blessing is the one-shard test's job
     }
     let experiment = Experiment::at_scale(Scale::Custom(0.002));
     let trace = experiment.trace();
@@ -145,8 +144,8 @@ fn fig11_micro_counts_match_golden_on_the_sharded_executor() {
     );
     assert_eq!(
         rendered, golden,
-        "sharded fig11 micro counts diverged from the single-threaded \
-         golden file — the sharded executor broke bit-equality"
+        "sharded fig11 micro counts diverged from the one-shard golden \
+         file — the sharded executor broke bit-equality"
     );
 }
 

@@ -76,12 +76,12 @@ pub struct SimConfig {
     pub injection: InjectionMode,
     /// Client → first-hop proxy mapping.
     pub assignment: ClientAssignment,
-    /// Fault injection.
+    /// Fault injection (one shard only).
     pub faults: FaultPlan,
     /// Scheduled proxy restarts (empty by default).
     pub churn: Vec<ChurnEvent>,
     /// When non-zero, record up to this many message deliveries in the
-    /// report's [`TraceLog`](crate::TraceLog).
+    /// report's [`TraceLog`](crate::TraceLog) (one shard only).
     pub trace_capacity: usize,
     /// Optional per-pair proxy↔proxy latencies (row = sender, column =
     /// receiver), overriding the class model's uniform `proxy_proxy`
@@ -106,12 +106,11 @@ pub struct SimConfig {
     /// Seed for all simulator-side randomness (agent RNG, assignment,
     /// faults). A run is a pure function of (workload, agents, config).
     pub seed: u64,
-    /// Synchronization tuning for
-    /// [`Simulation::run_sharded`](crate::Simulation::run_sharded).
-    /// Pure execution strategy: every combination of knobs produces
+    /// Synchronization tuning for the executor behind every
+    /// [`Simulation`](crate::Simulation) `run*` entry point. Pure
+    /// execution strategy: every combination of knobs produces
     /// byte-identical reports (the knobs trade synchronization overhead
-    /// against parallelism), so the single-threaded runner ignores this
-    /// field entirely.
+    /// against parallelism).
     pub shard: ShardTuning,
 }
 

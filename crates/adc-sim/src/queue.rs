@@ -26,8 +26,8 @@ struct Item<T> {
 /// A monotone priority queue over `(at, seq)` keys.
 ///
 /// `seq` breaks ties between items scheduled for the same instant and
-/// must be unique across live items (the simulator uses its event
-/// insertion counter).
+/// must be unique across live items (the simulator uses its
+/// `(flow seq, step)` event key).
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     /// Ring of time buckets; index = `(at >> shift) & mask`.
@@ -128,46 +128,33 @@ impl<T> CalendarQueue<T> {
     /// Takes `&mut self` because locating the minimum advances the
     /// bucket window exactly as [`pop`](CalendarQueue::pop) would — the
     /// amortised O(1) cursor walk is shared, so `peek_key` followed by
-    /// `pop` re-scans only the (O(1)-occupancy) current bucket. The
-    /// sharded executor uses this to decide whether the next event falls
-    /// inside the current synchronization window without consuming it.
+    /// `pop` re-scans only the (O(1)-occupancy) current bucket.
     pub fn peek_key(&mut self) -> Option<(u64, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        // Scan windows in time order, mirroring pop()'s walk.
-        for _ in 0..self.buckets.len() {
-            let bucket = &self.buckets[self.cursor];
-            let mut best: Option<(u64, u64)> = None;
-            for item in bucket.iter() {
-                if item.at < self.bucket_top && best.is_none_or(|key| (item.at, item.seq) < key) {
-                    best = Some((item.at, item.seq));
-                }
-            }
-            if best.is_some() {
-                return best;
-            }
-            // mask fits usize: it is derived from buckets.len() - 1.
-            self.cursor = (self.cursor + 1) & self.mask as usize;
-            self.bucket_top += self.width();
-        }
-        // A full lap of empty windows: fall back to a direct scan and
-        // jump the window to the global minimum, as pop() does.
-        let (at, seq) = self
-            .buckets
-            .iter()
-            .flat_map(|bucket| bucket.iter().map(|item| (item.at, item.seq)))
-            .min()
-            // Invariant: len > 0 was checked on entry, so some bucket
-            // holds an item. adc-lint: allow(panic)
-            .expect("len > 0 but no item found");
-        self.cursor = self.bucket_of(at);
-        self.bucket_top = ((at >> self.shift) + 1) << self.shift;
-        Some((at, seq))
+        let (b, i) = self.locate()?;
+        // locate() returns the coordinates of a live item.
+        let item = &self.buckets[b][i];
+        Some((item.at, item.seq))
     }
 
     /// Removes and returns the minimum `(at, seq)` item.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
+        let (b, i) = self.locate()?;
+        Some(self.take(b, i))
+    }
+
+    /// Removes and returns the minimum `(at, seq)` item if it is
+    /// scheduled before `end`; otherwise leaves the queue untouched. The
+    /// executor drains a synchronization window `[.., end)` with it in
+    /// one scan per event.
+    pub fn pop_before(&mut self, end: u64) -> Option<(u64, u64, T)> {
+        let (b, i) = self.locate()?;
+        // locate() returns the coordinates of a live item.
+        (self.buckets[b][i].at < end).then(|| self.take(b, i))
+    }
+
+    /// Finds the minimum `(at, seq)` item, moving the window to it, and
+    /// returns its `(bucket, index)`.
+    fn locate(&mut self) -> Option<(usize, usize)> {
         if self.len == 0 {
             return None;
         }
@@ -184,7 +171,7 @@ impl<T> CalendarQueue<T> {
                 }
             }
             if let Some((i, _, _)) = best {
-                return Some(self.take(self.cursor, i));
+                return Some((self.cursor, i));
             }
             // mask fits usize: it is derived from buckets.len() - 1.
             self.cursor = (self.cursor + 1) & self.mask as usize;
@@ -210,7 +197,7 @@ impl<T> CalendarQueue<T> {
             .expect("len > 0 but no item found");
         self.cursor = self.bucket_of(at);
         self.bucket_top = ((at >> self.shift) + 1) << self.shift;
-        Some(self.take(b, i))
+        Some((b, i))
     }
 
     fn take(&mut self, bucket: usize, index: usize) -> (u64, u64, T) {
@@ -347,6 +334,19 @@ mod tests {
         assert_eq!(q.peek_key(), Some((5, 0)));
         assert_eq!(q.pop(), Some((5, 0, "a")));
         assert_eq!(q.peek_key(), None);
+    }
+
+    #[test]
+    fn pop_before_stops_at_the_bound() {
+        let mut q = CalendarQueue::new();
+        q.push(5, 0, "a");
+        q.push(3, 1, "b");
+        assert_eq!(q.pop_before(3), None, "items at the bound stay");
+        assert_eq!(q.pop_before(4), Some((3, 1, "b")));
+        assert_eq!(q.pop_before(5), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_before(u64::MAX), Some((5, 0, "a")));
+        assert_eq!(q.pop_before(u64::MAX), None);
     }
 
     #[test]

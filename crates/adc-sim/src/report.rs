@@ -182,11 +182,10 @@ pub struct SimReport {
     /// count: the sharded executor merges it by summing per-shard
     /// counters.
     pub messages_delivered: u64,
-    /// Total events the simulator processed (deliveries plus injection
-    /// ticks) — the denominator for events/sec throughput numbers.
-    /// Summed across shards; the sharded executor synthesizes the
-    /// injection ticks its workers never pop so the field reconciles
-    /// with the single-queue runner.
+    /// Total events the simulator processed — the denominator for
+    /// events/sec throughput numbers: the deliveries summed across
+    /// shards, plus under open-loop injection one injection event per
+    /// arrival and one for the final exhausted pull.
     pub events_processed: u64,
     /// Largest number of flows in flight at once. **Not** a sum: this is
     /// a maximum over the time-ordered global schedule, so the sharded
@@ -222,8 +221,9 @@ pub struct SimReport {
     /// [`MetricsProbe`](adc_obs::MetricsProbe) (e.g.
     /// [`Simulation::run_with_metrics`](crate::Simulation::run_with_metrics)).
     pub metrics: Option<MetricsReport>,
-    /// Synchronization-layer telemetry from the sharded executor
-    /// (`None` for single-threaded runs). Like the wall/CPU clocks this
+    /// Synchronization-layer telemetry from the executor (every run
+    /// reports it; `None` only in hand-built reports). Like the wall/CPU
+    /// clocks this
     /// is *excluded* from [`to_deterministic_json`]: `pool_spawns`
     /// depends on the host's core count, and the widening schedule is a
     /// function of the shard count and tuning knobs, while the
@@ -241,9 +241,9 @@ pub struct SimReport {
     /// the metrics body: the canonical bytes must not depend on which
     /// probes were attached.
     pub spans: Option<SpanReport>,
-    /// Wall-clock execution profile of the sharded run, present when
-    /// [`ShardTuning::profile`](crate::ShardTuning::profile) was set
-    /// (`None` for single-threaded runs). Excluded from
+    /// Wall-clock execution profile of the run's shards, present when
+    /// [`ShardTuning::profile`](crate::ShardTuning::profile) was set.
+    /// Excluded from
     /// [`to_deterministic_json`](SimReport::to_deterministic_json) for
     /// the same reason as `wall_time`: every field is host telemetry.
     pub shard_profile: Option<ShardProfile>,
@@ -312,7 +312,7 @@ impl SimReport {
     /// document: fixed key order, floats in shortest-roundtrip form, no
     /// whitespace. Two runs produce identical strings iff their
     /// simulation outputs are bit-identical, which makes this the byte
-    /// comparator for the sharded-vs-single-threaded identity tests.
+    /// comparator for the shard-count identity tests.
     ///
     /// Host-dependent telemetry (`wall_time`, `cpu_time`) is excluded,
     /// as is the [`metrics`](SimReport::metrics) body — a metrics

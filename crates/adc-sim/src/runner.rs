@@ -1,55 +1,9 @@
-//! The discrete-event simulation loop.
+//! The simulation handle: a validated cluster of proxy agents plus its
+//! configuration. The `run*` entry points live with the executor in
+//! `sharded.rs`.
 
-use crate::config::{ChurnEvent, ClientAssignment, InjectionMode, SimConfig};
-use crate::flows::FlowTable;
-use crate::queue::CalendarQueue;
-use crate::report::{PhaseStats, SimReport};
-use crate::time::SimTime;
-use crate::tracelog::{DeliveryRecord, TraceLog};
-use adc_core::{
-    Action, ActionSink, CacheAgent, Message, NodeId, ObjectId, ProxyId, Reply, Request, RequestId,
-};
-use adc_metrics::{MovingAverage, P2Quantile, Sampler, Summary};
-use adc_obs::{ConvergenceConfig, ConvergenceTracker, NullProbe, Probe, SimEvent};
-use adc_workload::{Phase, RequestRecord};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
-// Wall-clock time feeds report telemetry only, never simulation
-// state. adc-lint: allow(determinism)
-use std::time::Instant;
-
-/// Per-flow bookkeeping from injection to completion.
-#[derive(Debug, Clone, Copy)]
-struct FlowState {
-    start: SimTime,
-    hops: u32,
-    size: u32,
-    phase: Phase,
-}
-
-/// Live state for the periodic convergence sampler: injected-request
-/// counts (to pick the hot set) plus the tracker folding snapshots into
-/// series.
-struct ConvState {
-    cfg: ConvergenceConfig,
-    /// Ordered map: the hot-set selection iterates it, and that order
-    /// must not depend on a randomized hasher.
-    counts: BTreeMap<u64, u64>,
-    tracker: ConvergenceTracker,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// Deliver `message` from `from` to `to`.
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        message: Message,
-    },
-    /// Pull the next request from the workload (open-loop mode).
-    Inject,
-}
+use crate::config::SimConfig;
+use adc_core::{CacheAgent, ProxyId};
 
 /// A deterministic discrete-event simulation of one proxy cluster.
 ///
@@ -96,771 +50,18 @@ impl<A: CacheAgent> Simulation<A> {
     pub fn num_proxies(&self) -> usize {
         self.agents.len()
     }
-
-    /// Runs the workload to completion and returns the report together
-    /// with the agents (for post-run inspection). Observability is off
-    /// ([`NullProbe`]); the probe plumbing compiles away entirely, so
-    /// this is byte-for-byte the unobserved hot path.
-    pub fn run_with_agents(
-        self,
-        workload: impl IntoIterator<Item = RequestRecord>,
-    ) -> (SimReport, Vec<A>) {
-        self.run_observed_with_agents(workload, &mut NullProbe)
-    }
-
-    /// Runs the workload with every simulation event fed through
-    /// `probe`, returning the report and the agents.
-    ///
-    /// The probe is ticked with virtual time (microseconds) before each
-    /// event is processed, then receives the typed [`SimEvent`]s the
-    /// agents and the runner emit. With [`NullProbe`] every emission
-    /// site is statically dead code, so observability costs nothing
-    /// unless a real probe is attached.
-    pub fn run_observed_with_agents<P: Probe>(
-        mut self,
-        workload: impl IntoIterator<Item = RequestRecord>,
-        probe: &mut P,
-    ) -> (SimReport, Vec<A>) {
-        // Wall telemetry only. adc-lint: allow(determinism, determinism-purity)
-        let wall_start = Instant::now();
-        let cpu_start = crate::cputime::thread_cpu_now();
-        let n = self.agents.len() as u32; // proxy counts stay tiny
-        let mut workload = workload.into_iter();
-        let mut agent_rng = StdRng::seed_from_u64(self.config.seed ^ 0xA6E7);
-        let mut assign_rng = StdRng::seed_from_u64(self.config.seed ^ 0xA551);
-        let mut fault_rng = StdRng::seed_from_u64(self.config.seed ^ 0xFA17);
-
-        // Events pop in exactly ascending `(at, seq)` order — the same
-        // total order the original binary-heap loop used; the calendar
-        // queue only changes the constant factor (see the module docs of
-        // `queue` and the property test pinning the equivalence).
-        let mut queue: CalendarQueue<EventKind> = CalendarQueue::new();
-        let mut event_seq: u64 = 0;
-        let mut now = SimTime::ZERO;
-        let mut flows: FlowTable<FlowState> = FlowTable::new();
-        let mut sink = ActionSink::new();
-        let mut events_processed: u64 = 0;
-        let mut orphan_origin_requests: u64 = 0;
-
-        // Metrics.
-        let mut completed: u64 = 0;
-        let mut hits: u64 = 0;
-        let mut phases = [PhaseStats::default(); 3];
-        let mut hops_summary = Summary::new();
-        let mut latency_summary = Summary::new();
-        let mut latency_p50 = P2Quantile::new(0.5);
-        let mut latency_p99 = P2Quantile::new(0.99);
-        let mut hit_window = MovingAverage::new(self.config.hit_window);
-        let mut hops_window = MovingAverage::new(self.config.hit_window);
-        let mut hit_sampler = Sampler::new("hit_rate", self.config.sample_every);
-        let mut hops_sampler = Sampler::new("hops", self.config.sample_every);
-        // Occupancy samplers are optional (sweeps never read them) and
-        // unnamed until the report is built, keeping the hot path free of
-        // string formatting.
-        let mut occupancy: Option<Vec<Sampler>> = self.config.sample_occupancy.then(|| {
-            (0..self.agents.len())
-                .map(|_| Sampler::new("", self.config.sample_every))
-                .collect()
-        });
-        let mut messages_delivered: u64 = 0;
-        let mut duplicates_injected: u64 = 0;
-        let mut client_orphans: u64 = 0;
-        let mut bytes_from_origin: u64 = 0;
-        let mut bytes_from_caches: u64 = 0;
-        let mut trace =
-            (self.config.trace_capacity > 0).then(|| TraceLog::new(self.config.trace_capacity));
-        let mut conv: Option<ConvState> = self.config.convergence.map(|cfg| ConvState {
-            cfg,
-            counts: BTreeMap::new(),
-            tracker: ConvergenceTracker::new(),
-        });
-
-        let assignment = self.config.assignment;
-        let base_latency = self.config.latency;
-        let matrix = self.config.proxy_latency_matrix.clone();
-        let latency = move |from: NodeId, to: NodeId| -> SimTime {
-            if let (Some(m), NodeId::Proxy(a), NodeId::Proxy(b)) = (&matrix, from, to) {
-                if a != b {
-                    // Matrix is n×n over dense proxy ids (checked in new()).
-                    return m[a.raw() as usize][b.raw() as usize];
-                }
-            }
-            base_latency.latency(from, to)
-        };
-        let faults = self.config.faults;
-        let injection = self.config.injection;
-        let mut churn: Vec<ChurnEvent> = self.config.churn.clone();
-        churn.sort_by_key(|c| c.after_completed);
-        let mut churn_idx = 0;
-        let mut proxies_reset: u64 = 0;
-
-        let push = |queue: &mut CalendarQueue<EventKind>,
-                    event_seq: &mut u64,
-                    at: SimTime,
-                    kind: EventKind| {
-            queue.push(at.as_micros(), *event_seq, kind);
-            *event_seq += 1;
-        };
-
-        // Injects the next workload request, if any. Returns false when
-        // the workload is exhausted.
-        let mut inject = |queue: &mut CalendarQueue<EventKind>,
-                          event_seq: &mut u64,
-                          now: SimTime,
-                          flows: &mut FlowTable<FlowState>,
-                          assign_rng: &mut StdRng,
-                          conv: &mut Option<ConvState>,
-                          probe: &mut P|
-         -> bool {
-            let Some(record) = workload.next() else {
-                return false;
-            };
-            if let Some(c) = conv.as_mut() {
-                *c.counts.entry(record.object.raw()).or_insert(0) += 1;
-            }
-            if P::ENABLED {
-                probe.emit(SimEvent::RequestInjected {
-                    client: record.client.raw(),
-                    seq: record.seq,
-                    object: record.object.raw(),
-                });
-            }
-            let proxy = match assignment {
-                ClientAssignment::Sticky => ProxyId::new(record.client.raw() % n),
-                ClientAssignment::RandomPerRequest => ProxyId::new(assign_rng.gen_range(0..n)),
-            };
-            let id = RequestId::new(record.client, record.seq);
-            flows.insert(
-                id,
-                FlowState {
-                    start: now,
-                    hops: 0,
-                    size: record.size,
-                    phase: record.phase,
-                },
-            );
-            let request = Request::new(id, record.object, record.client);
-            let from = NodeId::Client(record.client);
-            let to = NodeId::Proxy(proxy);
-            let at = now + latency(from, to);
-            push(
-                queue,
-                event_seq,
-                at,
-                EventKind::Deliver {
-                    from,
-                    to,
-                    message: Message::Request(request),
-                },
-            );
-            true
-        };
-
-        // Prime the pump.
-        match injection {
-            InjectionMode::Sequential => {
-                inject(
-                    &mut queue,
-                    &mut event_seq,
-                    now,
-                    &mut flows,
-                    &mut assign_rng,
-                    &mut conv,
-                    probe,
-                );
-            }
-            InjectionMode::OpenLoop { .. } => {
-                push(&mut queue, &mut event_seq, SimTime::ZERO, EventKind::Inject);
-            }
-        }
-
-        while let Some((at, _seq, kind)) = queue.pop() {
-            now = SimTime::from_micros(at);
-            if P::ENABLED {
-                probe.tick(at);
-            }
-            events_processed += 1;
-            match kind {
-                EventKind::Inject => {
-                    if inject(
-                        &mut queue,
-                        &mut event_seq,
-                        now,
-                        &mut flows,
-                        &mut assign_rng,
-                        &mut conv,
-                        probe,
-                    ) {
-                        if let InjectionMode::OpenLoop { interval } = injection {
-                            push(
-                                &mut queue,
-                                &mut event_seq,
-                                now + interval,
-                                EventKind::Inject,
-                            );
-                        }
-                    }
-                }
-                EventKind::Deliver { from, to, message } => {
-                    messages_delivered += 1;
-                    if let Some(log) = trace.as_mut() {
-                        log.record(DeliveryRecord {
-                            at: now,
-                            request: message.request_id(),
-                            from,
-                            to,
-                            is_request: matches!(message, Message::Request(_)),
-                        });
-                    }
-                    // Byte accounting: a reply's body travels once per
-                    // transfer; attribute it to its producer.
-                    if from != to {
-                        if let Message::Reply(rep) = &message {
-                            if from == NodeId::Origin {
-                                bytes_from_origin += u64::from(rep.size);
-                            } else if rep.served_from.is_hit() && matches!(to, NodeId::Client(_)) {
-                                bytes_from_caches += u64::from(rep.size);
-                            }
-                        }
-                    }
-                    // A hop is any message transfer between distinct nodes
-                    // (client–proxy, proxy–proxy, proxy–server), counted
-                    // for the flow it belongs to.
-                    if from != to {
-                        if let Some(flow) = flows.get_mut(&message.request_id()) {
-                            flow.hops += 1;
-                        }
-                    }
-
-                    // Fault injection: duplicate this delivery.
-                    if faults.duplicate_prob > 0.0 && fault_rng.gen_bool(faults.duplicate_prob) {
-                        duplicates_injected += 1;
-                        push(
-                            &mut queue,
-                            &mut event_seq,
-                            now + faults.duplicate_jitter,
-                            EventKind::Deliver { from, to, message },
-                        );
-                    }
-
-                    debug_assert!(sink.is_empty(), "sink drained after every delivery");
-                    match to {
-                        NodeId::Proxy(pid) => {
-                            // Proxy ids are dense 0..n (checked in new()).
-                            let agent = &mut self.agents[pid.raw() as usize];
-                            match message {
-                                Message::Request(req) => {
-                                    agent.on_request(req, &mut agent_rng, probe, &mut sink);
-                                }
-                                Message::Reply(rep) => agent.on_reply(rep, probe, &mut sink),
-                            }
-                        }
-                        NodeId::Origin => match message {
-                            Message::Request(req) => {
-                                // The origin always resolves; reply to the
-                                // proxy that sent the request. A request
-                                // whose flow already completed gets the
-                                // nominal size — and is counted, not
-                                // silently patched over.
-                                let size = match flows.get(&req.id) {
-                                    Some(f) => f.size,
-                                    None => {
-                                        orphan_origin_requests += 1;
-                                        adc_core::DEFAULT_OBJECT_SIZE
-                                    }
-                                };
-                                let reply = Reply::from_origin(&req, size);
-                                sink.send(req.sender, reply);
-                            }
-                            Message::Reply(_) => {
-                                debug_assert!(false, "origin never receives replies");
-                            }
-                        },
-                        NodeId::Client(_) => {
-                            match message {
-                                Message::Reply(rep) => {
-                                    if let Some(flow) = flows.remove(&rep.id) {
-                                        completed += 1;
-                                        let hit = rep.served_from.is_hit();
-                                        if hit {
-                                            hits += 1;
-                                        }
-                                        if P::ENABLED {
-                                            probe.emit(SimEvent::RequestCompleted {
-                                                client: rep.id.client.raw(),
-                                                seq: rep.id.seq,
-                                                object: rep.object.raw(),
-                                                hit,
-                                                hops: flow.hops,
-                                                start_us: flow.start.as_micros(),
-                                            });
-                                        }
-                                        let phase_idx = match flow.phase {
-                                            Phase::Fill => 0,
-                                            Phase::RequestI => 1,
-                                            Phase::RequestII => 2,
-                                        };
-                                        // phase_idx is 0..3 by construction.
-                                        phases[phase_idx].requests += 1;
-                                        phases[phase_idx].hits += u64::from(hit);
-                                        let hops_f = flow.hops as f64; // u32: exact in f64
-                                        let completed_f = completed as f64; // < 2^53: exact
-                                        let latency_us = (now - flow.start).as_micros() as f64; // < 2^53: exact
-                                        hops_summary.push(hops_f);
-                                        latency_summary.push(latency_us);
-                                        latency_p50.push(latency_us);
-                                        latency_p99.push(latency_us);
-                                        hit_window.push_bool(hit);
-                                        hops_window.push(hops_f);
-                                        if let Some(v) = hit_window.value() {
-                                            hit_sampler.observe(completed_f, v);
-                                        }
-                                        if let Some(v) = hops_window.value() {
-                                            hops_sampler.observe(completed_f, v);
-                                        }
-                                        if let Some(occupancy) = occupancy.as_mut() {
-                                            for (agent, sampler) in
-                                                self.agents.iter().zip(occupancy.iter_mut())
-                                            {
-                                                sampler.observe(
-                                                    completed_f,
-                                                    // cache sizes ≪ 2^53: exact
-                                                    agent.cached_objects() as f64,
-                                                );
-                                            }
-                                        }
-                                        // Convergence: snapshot every
-                                        // agent's owner hint for the hot
-                                        // set on the sampling schedule.
-                                        if let Some(c) = conv.as_mut() {
-                                            if completed.is_multiple_of(c.cfg.sample_every) {
-                                                let mut hot: Vec<(u64, u64)> = c
-                                                    .counts
-                                                    .iter()
-                                                    .map(|(&o, &n)| (o, n))
-                                                    .collect();
-                                                hot.sort_unstable_by(|a, b| {
-                                                    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
-                                                });
-                                                hot.truncate(c.cfg.top_k);
-                                                let snapshot: Vec<(u64, Vec<Option<u32>>)> = hot
-                                                    .iter()
-                                                    .map(|&(object, _)| {
-                                                        let hints = self
-                                                            .agents
-                                                            .iter()
-                                                            .map(|a| {
-                                                                a.owner_hint(ObjectId::new(object))
-                                                                    .map(|p| p.raw())
-                                                            })
-                                                            .collect();
-                                                        (object, hints)
-                                                    })
-                                                    .collect();
-                                                c.tracker.sample(completed_f, &snapshot);
-                                            }
-                                        }
-                                        // Scheduled proxy restarts fire on
-                                        // completion boundaries.
-                                        while churn_idx < churn.len()
-                                            && churn[churn_idx].after_completed <= completed
-                                        {
-                                            // churn_idx bounds-checked above.
-                                            let p = churn[churn_idx].proxy;
-                                            if let Some(agent) =
-                                                // u32 → usize widens on 64-bit
-                                                self.agents.get_mut(p.raw() as usize)
-                                            {
-                                                agent.reset();
-                                                proxies_reset += 1;
-                                            }
-                                            churn_idx += 1;
-                                        }
-                                        if injection == InjectionMode::Sequential {
-                                            inject(
-                                                &mut queue,
-                                                &mut event_seq,
-                                                now,
-                                                &mut flows,
-                                                &mut assign_rng,
-                                                &mut conv,
-                                                probe,
-                                            );
-                                        }
-                                    } else {
-                                        client_orphans += 1;
-                                    }
-                                }
-                                Message::Request(_) => {
-                                    debug_assert!(false, "clients never receive requests");
-                                }
-                            }
-                        }
-                    }
-
-                    for action in sink.drain() {
-                        let Action::Send {
-                            to: dest,
-                            mut message,
-                        } = action;
-                        // Agents only know a nominal object size; the
-                        // workload's size lives in the flow state.
-                        // Normalize replies so byte accounting and the
-                        // client-visible size are the workload's.
-                        if let Message::Reply(rep) = &mut message {
-                            if let Some(flow) = flows.get(&rep.id) {
-                                rep.size = flow.size;
-                            }
-                        }
-                        let mut at = now + latency(to, dest);
-                        if dest == NodeId::Origin {
-                            // Account for the origin's per-request service
-                            // time up front, so its reply goes out at
-                            // arrival + service + wire time.
-                            at += base_latency.origin_service;
-                        }
-                        push(
-                            &mut queue,
-                            &mut event_seq,
-                            at,
-                            EventKind::Deliver {
-                                from: to,
-                                to: dest,
-                                message,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-
-        let report = SimReport {
-            completed,
-            hits,
-            phases,
-            hops: hops_summary,
-            latency_us: latency_summary,
-            latency_p50_us: latency_p50.value().unwrap_or(0.0),
-            latency_p99_us: latency_p99.value().unwrap_or(0.0),
-            hit_series: hit_sampler.into_series(),
-            hops_series: hops_sampler.into_series(),
-            per_proxy: self.agents.iter().map(|a| *a.stats()).collect(),
-            final_cache_sizes: self.agents.iter().map(|a| a.cached_objects()).collect(),
-            occupancy_series: occupancy
-                .map(|samplers| {
-                    samplers
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, sampler)| {
-                            let mut series = sampler.into_series();
-                            series.name = format!("proxy{i}");
-                            series
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
-            messages_delivered,
-            events_processed,
-            peak_flows: flows.peak(),
-            duplicates_injected,
-            client_orphans,
-            orphan_origin_requests,
-            proxies_reset,
-            bytes_from_origin,
-            bytes_from_caches,
-            trace,
-            convergence: conv.map(|c| c.tracker.into_report()),
-            metrics: None,
-            shard_exec: None,
-            spans: None,
-            shard_profile: None,
-            wall_time: wall_start.elapsed(),
-            cpu_time: crate::cputime::thread_cpu_now().saturating_sub(cpu_start),
-        };
-        (report, self.agents)
-    }
-
-    /// Runs the workload to completion.
-    pub fn run(self, workload: impl IntoIterator<Item = RequestRecord>) -> SimReport {
-        self.run_with_agents(workload).0
-    }
-
-    /// Runs the workload to completion with `probe` attached; see
-    /// [`run_observed_with_agents`](Simulation::run_observed_with_agents).
-    pub fn run_observed<P: Probe>(
-        self,
-        workload: impl IntoIterator<Item = RequestRecord>,
-        probe: &mut P,
-    ) -> SimReport {
-        self.run_observed_with_agents(workload, probe).0
-    }
-
-    /// Runs the workload with a [`MetricsProbe`](adc_obs::MetricsProbe)
-    /// attached and the resulting per-proxy families embedded in
-    /// [`SimReport::metrics`]. The probe is a pure event consumer — it
-    /// never touches the RNG streams or event order, so results are
-    /// identical to an unobserved run of the same seed.
-    pub fn run_with_metrics(self, workload: impl IntoIterator<Item = RequestRecord>) -> SimReport {
-        let mut probe = adc_obs::MetricsProbe::new();
-        let (mut report, _) = self.run_observed_with_agents(workload, &mut probe);
-        report.metrics = Some(probe.report());
-        report
-    }
-
-    /// Runs the workload with a [`SpanProbe`](adc_obs::SpanProbe)
-    /// attached and the resulting causal latency breakdown embedded in
-    /// [`SimReport::spans`], keeping the `top_k` slowest flows in the
-    /// digest. Like every probe, the recorder is a pure event consumer:
-    /// the deterministic report is identical to an unobserved run.
-    pub fn run_with_spans(
-        self,
-        workload: impl IntoIterator<Item = RequestRecord>,
-        top_k: usize,
-    ) -> SimReport {
-        let mut probe = adc_obs::SpanProbe::with_top_k(top_k);
-        let (mut report, _) = self.run_observed_with_agents(workload, &mut probe);
-        report.spans = Some(probe.into_report());
-        report
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FaultPlan;
-    use adc_baselines::CarpProxy;
-    use adc_core::{AdcConfig, AdcProxy, ClientId, ObjectId};
-    use adc_workload::{Phase, PolygraphConfig, StationaryZipf};
+    use crate::time::SimTime;
+    use adc_core::{AdcConfig, AdcProxy};
 
-    fn adc_agents(n: u32, config: AdcConfig) -> Vec<AdcProxy> {
+    fn agents(n: u32) -> Vec<AdcProxy> {
         (0..n)
-            .map(|i| AdcProxy::new(ProxyId::new(i), n, config.clone()))
+            .map(|i| AdcProxy::new(ProxyId::new(i), n, AdcConfig::default()))
             .collect()
-    }
-
-    fn carp_agents(n: u32, cache: usize) -> Vec<CarpProxy> {
-        (0..n)
-            .map(|i| CarpProxy::new(ProxyId::new(i), n, cache))
-            .collect()
-    }
-
-    /// A workload of hand-written records.
-    fn records(objects: &[u64]) -> Vec<RequestRecord> {
-        objects
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| RequestRecord {
-                seq: i as u64,
-                client: ClientId::new(0),
-                object: ObjectId::new(o),
-                size: 100,
-                phase: Phase::RequestI,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn single_adc_proxy_learns_to_hit() {
-        let config = AdcConfig::builder()
-            .single_capacity(16)
-            .multiple_capacity(16)
-            .cache_capacity(8)
-            .max_hops(8)
-            .build();
-        let sim = Simulation::new(adc_agents(1, config), SimConfig::fast());
-        let report = sim.run(records(&[1, 1, 1, 1, 1, 1]));
-        assert_eq!(report.completed, 6);
-        assert!(report.hits >= 2, "should hit after learning: {report:?}");
-        // The last requests must be local hits with exactly 2 hops.
-        assert!(report.hops.min().unwrap() >= 2.0);
-    }
-
-    #[test]
-    fn carp_hop_counts_match_hand_calculation() {
-        // One proxy: miss = C→P, P→O, O→P, P→C = 4 hops; hit = 2 hops.
-        let sim = Simulation::new(carp_agents(1, 8), SimConfig::fast());
-        let report = sim.run(records(&[1, 1]));
-        assert_eq!(report.completed, 2);
-        assert_eq!(report.hits, 1);
-        assert_eq!(report.hops.min(), Some(2.0));
-        assert_eq!(report.hops.max(), Some(4.0));
-    }
-
-    #[test]
-    fn carp_multi_proxy_routes_to_owner() {
-        let sim = Simulation::new(carp_agents(4, 64), SimConfig::fast());
-        // Same object requested many times by different clients lands on
-        // the same owner; all but the first are hits.
-        let recs: Vec<RequestRecord> = (0..20)
-            .map(|i| RequestRecord {
-                seq: i,
-                client: ClientId::new(i as u32 % 7),
-                object: ObjectId::new(42),
-                size: 10,
-                phase: Phase::RequestI,
-            })
-            .collect();
-        let report = sim.run(recs);
-        assert_eq!(report.completed, 20);
-        assert_eq!(report.hits, 19);
-    }
-
-    #[test]
-    fn run_with_metrics_matches_unobserved_run_and_reconciles() {
-        let build = || {
-            let config = AdcConfig::builder()
-                .single_capacity(64)
-                .multiple_capacity(64)
-                .cache_capacity(32)
-                .max_hops(8)
-                .build();
-            Simulation::new(adc_agents(3, config), SimConfig::fast())
-        };
-        let workload = || StationaryZipf::new(200, 0.9, 8, 11).take(3_000);
-        let plain = build().run(workload());
-        let observed = build().run_with_metrics(workload());
-        // The probe is a pure consumer: same seed, same results.
-        assert_eq!(plain.completed, observed.completed);
-        assert_eq!(plain.hits, observed.hits);
-        assert_eq!(plain.messages_delivered, observed.messages_delivered);
-        let metrics = observed.metrics.as_ref().expect("metrics embedded");
-        let snap = &metrics.snapshot;
-        // Registry counters reconcile with the report totals.
-        let total = |name: &str| -> u64 {
-            snap.counters
-                .iter()
-                .filter(|(m, _, _)| m == name)
-                .map(|&(_, _, v)| v)
-                .sum()
-        };
-        assert_eq!(total(adc_obs::metrics::REQUESTS_COMPLETED), plain.completed);
-        assert_eq!(total(adc_obs::metrics::REQUEST_HITS), plain.hits);
-        assert_eq!(total(adc_obs::metrics::LOCAL_HITS), plain.hits);
-        // Per-proxy summaries cover each agent that served something,
-        // and the exposition text round-trips the format checker.
-        assert!(!metrics.per_proxy.is_empty());
-        adc_metrics::validate_prometheus(&snap.to_prometheus()).expect("valid exposition");
-    }
-
-    #[test]
-    fn simulation_is_deterministic() {
-        let run = || {
-            let config = AdcConfig::builder()
-                .single_capacity(64)
-                .multiple_capacity(64)
-                .cache_capacity(32)
-                .max_hops(8)
-                .build();
-            let sim = Simulation::new(adc_agents(3, config), SimConfig::fast());
-            sim.run(StationaryZipf::new(200, 0.9, 8, 11).take(3_000))
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.hits, b.hits);
-        assert_eq!(a.messages_delivered, b.messages_delivered);
-        assert_eq!(a.hit_series, b.hit_series);
-        assert_eq!(a.hops.mean(), b.hops.mean());
-    }
-
-    #[test]
-    fn open_loop_completes_every_request() {
-        let mut config = SimConfig::fast();
-        config.injection = InjectionMode::OpenLoop {
-            interval: SimTime::from_micros(100),
-        };
-        config.latency = crate::network::LatencyModel::default();
-        let adc = AdcConfig::builder()
-            .single_capacity(64)
-            .multiple_capacity(64)
-            .cache_capacity(32)
-            .max_hops(8)
-            .build();
-        let sim = Simulation::new(adc_agents(3, adc), config);
-        let report = sim.run(StationaryZipf::new(100, 0.9, 4, 5).take(500));
-        assert_eq!(report.completed, 500);
-        // Open loop at 100us with 40ms origin RTTs must overlap flows, so
-        // total simulated latency must exceed the injection span.
-        assert!(report.latency_us.max().unwrap() > 40_000.0);
-    }
-
-    #[test]
-    fn duplicate_faults_do_not_lose_requests() {
-        let mut config = SimConfig::fast();
-        config.faults = FaultPlan {
-            duplicate_prob: 0.2,
-            duplicate_jitter: SimTime::from_micros(7),
-        };
-        let adc = AdcConfig::builder()
-            .single_capacity(64)
-            .multiple_capacity(64)
-            .cache_capacity(32)
-            .max_hops(6)
-            .build();
-        let sim = Simulation::new(adc_agents(3, adc), config);
-        let report = sim.run(StationaryZipf::new(100, 0.9, 4, 5).take(2_000));
-        assert_eq!(report.completed, 2_000);
-        assert!(report.duplicates_injected > 100);
-        // Duplicated replies to clients show up as orphans, and orphaned
-        // replies at proxies are counted, not crashed on.
-        let orphans: u64 = report.cluster_stats().replies_orphaned;
-        assert!(orphans + report.client_orphans > 0);
-    }
-
-    #[test]
-    fn sticky_vs_random_assignment_changes_first_hop_distribution() {
-        let recs: Vec<RequestRecord> = (0..300)
-            .map(|i| RequestRecord {
-                seq: i,
-                client: ClientId::new(0), // one client only
-                object: ObjectId::new(i),
-                size: 10,
-                phase: Phase::Fill,
-            })
-            .collect();
-        let carp = || carp_agents(3, 64);
-        let sticky = Simulation::new(carp(), SimConfig::fast()).run(recs.clone());
-        // Sticky: client 0 always hits proxy 0 first.
-        assert!(sticky.per_proxy[0].requests_received >= 300);
-
-        let mut config = SimConfig::fast();
-        config.assignment = ClientAssignment::RandomPerRequest;
-        let random = Simulation::new(carp(), config).run(recs);
-        assert!(random.per_proxy[1].requests_received > 30);
-        assert!(random.per_proxy[2].requests_received > 30);
-    }
-
-    #[test]
-    fn phase_accounting_separates_fill_and_request_phases() {
-        let config = AdcConfig::builder()
-            .single_capacity(256)
-            .multiple_capacity(256)
-            .cache_capacity(128)
-            .max_hops(8)
-            .build();
-        let workload = PolygraphConfig {
-            fill_requests: 300,
-            phase_requests: 600,
-            hot_set: 50,
-            recurrence: 0.8,
-            fill_recurrence: 0.0,
-            zipf_alpha: 0.8,
-            clients: 10,
-            seed: 3,
-            exact_replay: true,
-            size_model: adc_workload::SizeModel::default(),
-        };
-        let sim = Simulation::new(adc_agents(3, config), SimConfig::fast());
-        let report = sim.run(workload.build());
-        assert_eq!(report.phase(Phase::Fill).requests, 300);
-        assert_eq!(report.phase(Phase::RequestI).requests, 600);
-        assert_eq!(report.phase(Phase::RequestII).requests, 600);
-        // Fill phase has no repeats, so (almost) no hits.
-        assert_eq!(report.phase(Phase::Fill).hits, 0);
-        // The replayed phase must hit more than the learning phase.
-        assert!(
-            report.phase(Phase::RequestII).hit_rate() > report.phase(Phase::RequestI).hit_rate()
-        );
     }
 
     #[test]
@@ -879,327 +80,6 @@ mod tests {
     fn empty_agent_set_rejected() {
         let _ = Simulation::new(Vec::<AdcProxy>::new(), SimConfig::fast());
     }
-}
-
-#[cfg(test)]
-mod observed_tests {
-    use super::*;
-    use adc_core::{AdcConfig, AdcProxy, CountingProbe, EventLog};
-    use adc_obs::EventKind as ObsEventKind;
-    use adc_workload::StationaryZipf;
-
-    fn adc_agents(n: u32) -> Vec<AdcProxy> {
-        let config = AdcConfig::builder()
-            .single_capacity(64)
-            .multiple_capacity(64)
-            .cache_capacity(32)
-            .max_hops(8)
-            .build();
-        (0..n)
-            .map(|i| AdcProxy::new(ProxyId::new(i), n, config.clone()))
-            .collect()
-    }
-
-    #[test]
-    fn observed_run_matches_unobserved_run() {
-        let workload = || StationaryZipf::new(120, 0.9, 6, 7).take(2_500);
-        let plain = Simulation::new(adc_agents(3), SimConfig::fast()).run(workload());
-        let mut probe = CountingProbe::new();
-        let observed =
-            Simulation::new(adc_agents(3), SimConfig::fast()).run_observed(workload(), &mut probe);
-        // Attaching a probe must not perturb the simulation itself.
-        assert_eq!(plain.completed, observed.completed);
-        assert_eq!(plain.hits, observed.hits);
-        assert_eq!(plain.messages_delivered, observed.messages_delivered);
-        assert_eq!(plain.hit_series, observed.hit_series);
-        // Runner-level events account for every request exactly once.
-        assert_eq!(probe.count(ObsEventKind::RequestInjected), 2_500);
-        assert_eq!(
-            probe.count(ObsEventKind::RequestCompleted),
-            observed.completed
-        );
-        assert!(probe.total() > 2 * 2_500, "agent events missing");
-    }
-
-    #[test]
-    fn event_log_timestamps_are_monotone_virtual_time() {
-        let mut log = EventLog::new();
-        let report = Simulation::new(adc_agents(2), SimConfig::fast())
-            .run_observed(StationaryZipf::new(40, 0.9, 4, 3).take(400), &mut log);
-        assert_eq!(report.completed, 400);
-        assert!(!log.is_empty());
-        assert_eq!(log.dropped(), 0);
-        let times: Vec<u64> = log.events().iter().map(|&(t, _)| t).collect();
-        assert!(
-            times.windows(2).all(|w| w[0] <= w[1]),
-            "virtual time ran backwards"
-        );
-    }
-
-    #[test]
-    fn convergence_sampling_reports_rising_agreement() {
-        let mut config = SimConfig::fast();
-        config.convergence = Some(ConvergenceConfig {
-            sample_every: 500,
-            top_k: 32,
-        });
-        let report = Simulation::new(adc_agents(3), config)
-            .run(StationaryZipf::new(100, 0.9, 6, 7).take(6_000));
-        let conv = report.convergence.as_ref().expect("sampling was on");
-        assert_eq!(conv.samples, (6_000 / 500) as usize);
-        assert_eq!(conv.agreement.len(), conv.samples);
-        // Backwarding drives the cluster toward agreement: the late
-        // samples must agree more than the early ones on average.
-        let early = conv.agreement.points[..conv.samples / 2]
-            .iter()
-            .map(|&(_, y)| y)
-            .sum::<f64>()
-            / (conv.samples / 2) as f64;
-        let late = conv.agreement.points[conv.samples / 2..]
-            .iter()
-            .map(|&(_, y)| y)
-            .sum::<f64>()
-            / (conv.samples - conv.samples / 2) as f64;
-        assert!(
-            late >= early,
-            "agreement should trend upward: early={early} late={late}"
-        );
-        assert!(conv.final_agreement().unwrap() > 0.5);
-        // Convergence sampling alone must not disturb the run either.
-        let plain = Simulation::new(adc_agents(3), SimConfig::fast())
-            .run(StationaryZipf::new(100, 0.9, 6, 7).take(6_000));
-        assert_eq!(plain.hits, report.hits);
-        assert_eq!(plain.messages_delivered, report.messages_delivered);
-    }
-}
-
-#[cfg(test)]
-mod churn_tests {
-    use super::*;
-    use crate::config::ChurnEvent;
-    use adc_core::{AdcConfig, AdcProxy};
-    use adc_workload::StationaryZipf;
-
-    #[test]
-    fn churn_resets_fire_and_system_recovers() {
-        let config = AdcConfig::builder()
-            .single_capacity(128)
-            .multiple_capacity(128)
-            .cache_capacity(64)
-            .max_hops(8)
-            .build();
-        let agents: Vec<AdcProxy> = (0..3)
-            .map(|i| AdcProxy::new(ProxyId::new(i), 3, config.clone()))
-            .collect();
-        let mut sim_config = SimConfig::fast();
-        sim_config.churn = vec![
-            ChurnEvent {
-                after_completed: 2_000,
-                proxy: ProxyId::new(0),
-            },
-            ChurnEvent {
-                after_completed: 2_500,
-                proxy: ProxyId::new(1),
-            },
-        ];
-        let sim = Simulation::new(agents, sim_config);
-        let (report, agents) = sim.run_with_agents(StationaryZipf::new(80, 0.9, 8, 5).take(6_000));
-        assert_eq!(report.proxies_reset, 2);
-        assert_eq!(report.completed, 6_000);
-        // After the restart the proxies relearn and keep hitting.
-        let late = report
-            .hit_series
-            .tail_mean_y(0.2)
-            .expect("series has points");
-        assert!(late > 0.5, "system failed to recover after churn: {late}");
-        for agent in &agents {
-            agent.tables().assert_invariants();
-        }
-    }
-
-    #[test]
-    fn churn_against_workload_end_is_a_no_op() {
-        let agents: Vec<AdcProxy> = vec![AdcProxy::new(
-            ProxyId::new(0),
-            1,
-            AdcConfig::builder()
-                .single_capacity(16)
-                .multiple_capacity(16)
-                .cache_capacity(8)
-                .build(),
-        )];
-        let mut sim_config = SimConfig::fast();
-        sim_config.churn = vec![ChurnEvent {
-            after_completed: 1_000_000, // never reached
-            proxy: ProxyId::new(0),
-        }];
-        let sim = Simulation::new(agents, sim_config);
-        let report = sim.run(StationaryZipf::new(10, 0.9, 2, 1).take(100));
-        assert_eq!(report.proxies_reset, 0);
-        assert_eq!(report.completed, 100);
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use adc_core::{AdcConfig, AdcProxy, ClientId, ObjectId};
-    use adc_workload::{Phase, StationaryZipf};
-
-    fn adc(n: u32) -> Vec<AdcProxy> {
-        let config = AdcConfig::builder()
-            .single_capacity(64)
-            .multiple_capacity(64)
-            .cache_capacity(32)
-            .max_hops(8)
-            .build();
-        (0..n)
-            .map(|i| AdcProxy::new(ProxyId::new(i), n, config.clone()))
-            .collect()
-    }
-
-    #[test]
-    fn adc_backwarding_retraces_every_forward_path() {
-        let mut config = SimConfig::fast();
-        config.trace_capacity = 100_000;
-        let sim = Simulation::new(adc(4), config);
-        let records: Vec<RequestRecord> = StationaryZipf::new(60, 0.9, 6, 3).take(1_500).collect();
-        let ids: Vec<RequestId> = records
-            .iter()
-            .map(|r| RequestId::new(r.client, r.seq))
-            .collect();
-        let report = sim.run(records);
-        let log = report.trace.as_ref().expect("tracing was on");
-        assert_eq!(log.dropped(), 0, "log capacity too small for the run");
-        for id in ids {
-            assert!(
-                log.backwarding_retraces_forwarding(id),
-                "flow {id} did not retrace: {:?}",
-                log.flow(id)
-            );
-        }
-    }
-
-    #[test]
-    fn byte_accounting_sums_to_served_volume() {
-        let mut config = SimConfig::fast();
-        config.trace_capacity = 0;
-        let records: Vec<RequestRecord> = (0..200)
-            .map(|i| RequestRecord {
-                seq: i,
-                client: ClientId::new(0),
-                object: ObjectId::new(i % 10),
-                size: 100,
-                phase: Phase::RequestI,
-            })
-            .collect();
-        let sim = Simulation::new(adc(2), config);
-        let report = sim.run(records);
-        assert!(report.trace.is_none());
-        // Every completed request's body came from exactly one producer.
-        assert_eq!(
-            report.bytes_from_origin + report.bytes_from_caches,
-            report.completed * 100
-        );
-        assert!(report.byte_hit_rate() > 0.0);
-        // Byte hit rate equals object hit rate here (uniform sizes).
-        assert!((report.byte_hit_rate() - report.hit_rate()).abs() < 1e-9);
-    }
-}
-
-#[cfg(test)]
-mod occupancy_tests {
-    use super::*;
-    use adc_core::{AdcConfig, AdcProxy};
-    use adc_workload::StationaryZipf;
-
-    #[test]
-    fn occupancy_series_tracks_cache_fill() {
-        let config = AdcConfig::builder()
-            .single_capacity(64)
-            .multiple_capacity(64)
-            .cache_capacity(16)
-            .max_hops(8)
-            .build();
-        let agents: Vec<AdcProxy> = (0..2)
-            .map(|i| AdcProxy::new(ProxyId::new(i), 2, config.clone()))
-            .collect();
-        let sim = Simulation::new(agents, SimConfig::fast());
-        let report = sim.run(StationaryZipf::new(40, 0.9, 4, 3).take(3_000));
-        assert_eq!(report.occupancy_series.len(), 2);
-        for (i, series) in report.occupancy_series.iter().enumerate() {
-            assert!(!series.is_empty(), "proxy {i} series empty");
-            // Occupancy is monotone here (no displacement pressure) and
-            // bounded by the cache capacity.
-            let ys: Vec<f64> = series.points.iter().map(|&(_, y)| y).collect();
-            assert!(ys.iter().all(|&y| y <= 16.0));
-            assert!(ys.windows(2).all(|w| w[0] <= w[1] + 1e-9));
-            // Final sample agrees with the final cache size.
-            assert_eq!(*ys.last().unwrap() as usize, report.final_cache_sizes[i]);
-        }
-    }
-}
-
-#[cfg(test)]
-mod matrix_tests {
-    use super::*;
-    use crate::network::LatencyModel;
-    use adc_core::{AdcConfig, AdcProxy};
-    use adc_workload::StationaryZipf;
-
-    fn agents(n: u32) -> Vec<AdcProxy> {
-        let config = AdcConfig::builder()
-            .single_capacity(64)
-            .multiple_capacity(64)
-            .cache_capacity(32)
-            .max_hops(8)
-            .build();
-        (0..n)
-            .map(|i| AdcProxy::new(ProxyId::new(i), n, config.clone()))
-            .collect()
-    }
-
-    /// Two 2-proxy LAN islands joined by a slow WAN link.
-    fn wan_matrix(lan: SimTime, wan: SimTime) -> Vec<Vec<SimTime>> {
-        let island = |p: usize| p / 2;
-        (0..4)
-            .map(|a| {
-                (0..4)
-                    .map(|b| if island(a) == island(b) { lan } else { wan })
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn matrix_changes_latency_but_not_hits_or_hops() {
-        let run = |matrix: Option<Vec<Vec<SimTime>>>| {
-            let config = SimConfig {
-                latency: LatencyModel::default(),
-                hit_window: 500,
-                sample_every: 500,
-                proxy_latency_matrix: matrix,
-                ..SimConfig::default()
-            };
-            Simulation::new(agents(4), config).run(StationaryZipf::new(50, 0.9, 8, 9).take(2_000))
-        };
-        let uniform = run(None);
-        let wan = run(Some(wan_matrix(
-            SimTime::from_millis(1),
-            SimTime::from_millis(80),
-        )));
-        // Hits and hops are topology-independent...
-        assert_eq!(uniform.hits, wan.hits);
-        assert_eq!(uniform.hops.mean(), wan.hops.mean());
-        // ...but the WAN topology costs real time.
-        assert!(
-            wan.latency_us.mean().unwrap() > uniform.latency_us.mean().unwrap(),
-            "WAN {:?} should exceed uniform {:?}",
-            wan.latency_us.mean(),
-            uniform.latency_us.mean()
-        );
-        assert!(wan.latency_p99_us >= wan.latency_p50_us);
-    }
 
     #[test]
     #[should_panic(expected = "must match the proxy count")]
@@ -1214,33 +94,5 @@ mod matrix_tests {
         let mut config = SimConfig::fast();
         config.proxy_latency_matrix = Some(vec![vec![SimTime::ZERO; 3], vec![SimTime::ZERO; 2]]);
         assert!(config.validate().is_err());
-    }
-
-    #[test]
-    fn run_with_spans_reconciles_and_preserves_results() {
-        let workload = || StationaryZipf::new(80, 0.9, 4, 11).take(2_000);
-        let config = || SimConfig {
-            injection: InjectionMode::OpenLoop {
-                interval: SimTime::from_micros(80),
-            },
-            ..SimConfig::fast()
-        };
-        let plain = Simulation::new(agents(4), config()).run(workload());
-        let observed = Simulation::new(agents(4), config()).run_with_spans(workload(), 5);
-        // The span recorder is a pure consumer: deterministic bytes match.
-        assert_eq!(
-            plain.to_deterministic_json(),
-            observed.to_deterministic_json()
-        );
-        let spans = observed.spans.expect("run_with_spans populates spans");
-        assert_eq!(spans.flows, observed.completed);
-        assert_eq!(spans.sum_check_failures, 0, "{spans:?}");
-        assert_eq!(spans.attributed_us, spans.total_us, "{spans:?}");
-        assert_eq!(spans.slowest.len(), 5);
-        // Digest is sorted slowest-first and bounded by the total.
-        assert!(spans
-            .slowest
-            .windows(2)
-            .all(|w| w[0].total_us >= w[1].total_us));
     }
 }

@@ -1,10 +1,12 @@
-//! Sharded (multi-core) execution of the simulation.
+//! The simulation executor: the one event loop behind every
+//! `Simulation::run*` entry point.
 //!
 //! Proxies are partitioned round-robin across `N` worker shards (proxy
-//! `p` lives on shard `p % N`). Each shard owns its own calendar queue,
-//! slab flow table and RNG stream, and the run proceeds in fixed time
-//! windows of width `W` — the *lookahead bound*: the minimum configured
-//! network latency over every edge that can carry a cross-shard message
+//! `p` lives on shard `p % N`); [`Simulation::run`] and its siblings are
+//! the `N = 1` case. Each shard owns its own calendar queue, slab flow
+//! table and RNG stream, and the run proceeds in time windows on a grid
+//! of width `W` — the *lookahead bound*: the minimum configured network
+//! latency over every edge that can carry a cross-shard message
 //! (client→proxy plus the proxy↔proxy minimum; origin round trips and
 //! client deliveries are processed on the sending proxy's shard, so they
 //! never cross shards). Within a window `[T, T + W)` every shard drains
@@ -20,33 +22,30 @@
 //!
 //! Three mechanisms make `shards=N` byte-identical to `shards=1`:
 //!
-//! 1. **Content-derived event keys.** The single-threaded runner breaks
-//!    `at` ties with a global push counter; a per-shard counter would
-//!    depend on the partitioning. Here every queued event carries the key
-//!    `(flow seq << 16) | step`, where `step` counts the flow's hops so
-//!    far — unique per event and identical under any partitioning, so
-//!    per-shard pop order and the barrier merge order are shard-count
-//!    invariant.
+//! 1. **Content-derived event keys.** Every queued event carries the key
+//!    `(flow seq << 16) | step`, where `step` counts the events the flow
+//!    has generated so far — unique per event and identical under any
+//!    partitioning, so per-shard pop order and the barrier merge order
+//!    are shard-count invariant. It is the only tie rule: events at the
+//!    same microsecond pop older flow first, and within a flow in the
+//!    order they were generated (DESIGN.md §6c).
 //! 2. **Canonical completion folding.** Workers only record completions;
 //!    the coordinator folds them at each barrier in `(at, flow seq)`
-//!    order and performs all cross-shard accounting there (series,
-//!    quantiles, convergence snapshots, metrics, sequential
-//!    re-injection), exactly as the single-threaded loop would.
+//!    order and performs all cluster-wide accounting there (series,
+//!    quantiles, occupancy and convergence snapshots, churn restarts,
+//!    sequential re-injection).
 //! 3. **Mode-appropriate RNG streams.** Sequential injection has at most
-//!    one live event in the whole system, so all shards share the
-//!    single-threaded runner's agent RNG (behind an uncontended mutex)
-//!    and draw in exactly the legacy order — sharded sequential runs are
-//!    *byte-identical to [`Simulation::run`]*. Open-loop injection
-//!    interleaves flows, so each agent gets an independent stream seeded
-//!    from `(seed, proxy id)`; reports are then invariant in the shard
-//!    count (but intentionally not comparable to the single-queue
-//!    runner, whose tie order depends on push order).
+//!    one live flow in the whole system, so every agent draws from one
+//!    stream seeded from the run seed, in the same order at any shard
+//!    count (behind an uncontended mutex when `N > 1`). Open-loop
+//!    injection interleaves flows, so each agent gets an independent
+//!    stream seeded from `(seed, proxy id)`.
 //!
-//! In open-loop mode, occupancy/convergence/metrics sampling reads agent
-//! state at the enclosing barrier rather than at the completion instant
-//! (they coincide in sequential mode); `events_processed` counts the
-//! injection events the single-threaded loop would have popped, so the
-//! field reconciles across executors.
+//! In open-loop mode, occupancy/convergence/metrics sampling and churn
+//! restarts act on agent state at the enclosing barrier rather than at
+//! the completion instant (they coincide in sequential mode);
+//! `events_processed` counts one injection event per arrival plus the
+//! final exhausted pull next to the deliveries.
 //!
 //! # Synchronization layer
 //!
@@ -74,9 +73,10 @@
 //!    (full proof in DESIGN.md §6c). Widening changes *barrier
 //!    placement*, which is observable only by barrier-driven state
 //!    sampling (occupancy series, convergence snapshots, metrics
-//!    probes) in open-loop mode — sequential windows hold at most one
-//!    completion, so sequential folds see identical agent state — and is
-//!    therefore automatically disabled in exactly those runs.
+//!    probes, churn) in open-loop mode — sequential windows hold at most
+//!    one completion, so sequential folds see identical agent state — and
+//!    is therefore automatically disabled in exactly those runs. A
+//!    one-shard sequential run drains each flow in a single window.
 //! 3. **Batched coordinator folds**: completions accumulate in reusable
 //!    per-shard buffers and fold every `fold_batch` barriers. The fold
 //!    replays the same `(at, flow_seq)`-sorted global sequence with the
@@ -84,14 +84,17 @@
 //!    enabled under the same gate as widening (and never in sequential
 //!    mode, whose folds drive re-injection).
 //!
-//! # Unsupported configurations
+//! # One-shard-only configurations
 //!
-//! Fault injection, churn and delivery tracing are rejected (see
-//! [`Simulation::run_sharded`]): duplicates and restarts would need
-//! cross-shard coordination mid-window, and the trace log is inherently
-//! a single totally-ordered stream.
+//! Duplicate faults, delivery tracing, zero-latency networks and
+//! arbitrary [`Probe`]s run at one shard only. With `shards > 1`,
+//! [`Simulation::run_sharded`] rejects the first three: duplicates would
+//! need cross-shard coordination mid-window, the trace log is a single
+//! totally-ordered stream, and a zero lookahead serializes everything.
+//! Probes cross shards only as the per-shard [`ShardProbe`]s the sharded
+//! entry points build themselves.
 
-use crate::config::{ClientAssignment, InjectionMode, SimConfig};
+use crate::config::{ChurnEvent, ClientAssignment, FaultPlan, InjectionMode, SimConfig};
 use crate::flows::FlowTable;
 use crate::network::LatencyModel;
 use crate::pool::{self, WindowTask};
@@ -99,8 +102,10 @@ use crate::queue::CalendarQueue;
 use crate::report::{PhaseStats, ShardExecStats, ShardProfile, SimReport};
 use crate::runner::Simulation;
 use crate::time::SimTime;
+use crate::tracelog::{DeliveryRecord, TraceLog};
 use adc_core::{
     Action, ActionSink, CacheAgent, Message, NodeId, ObjectId, ProxyId, Reply, Request, RequestId,
+    ServedFrom,
 };
 use adc_metrics::{Log2Histogram, MovingAverage, P2Quantile, Registry, Sampler, Summary};
 use adc_obs::{ConvergenceConfig, ConvergenceTracker, MetricsProbe, NullProbe, Probe};
@@ -109,6 +114,7 @@ use adc_workload::{Phase, RequestRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::DerefMut;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 // Wall-clock time feeds report telemetry only, never simulation
 // state. adc-lint: allow(determinism)
@@ -127,11 +133,17 @@ fn event_key(flow_seq: u64, step: u32) -> u64 {
         flow_seq < (1 << (64 - STEP_BITS)),
         "workload seq {flow_seq} overflows the event key"
     );
+    debug_assert!(
+        u64::from(step) < (1 << STEP_BITS),
+        "flow step overflows the event key"
+    );
     (flow_seq << STEP_BITS) | u64::from(step)
 }
 
-/// Per-flow bookkeeping, resident in the shard holding the flow's single
-/// in-flight message (clean-fault runs have exactly one).
+/// Per-flow bookkeeping, resident in the shard that holds the flow's
+/// queued events and updated there in place. It moves only with a
+/// message that crosses shards (clean-fault runs queue one event per
+/// flow, so the flow then has nothing left behind).
 #[derive(Debug, Clone, Copy)]
 struct FlowMeta {
     start: SimTime,
@@ -141,6 +153,13 @@ struct FlowMeta {
     step: u32,
     size: u32,
     phase: Phase,
+    /// The flow's events still queued. Above one only under duplicate
+    /// faults; the metadata leaves the table once the flow has completed
+    /// and this reaches zero.
+    queued: u32,
+    /// The client got its reply: later deliveries of the flow are
+    /// orphans (duplicates racing the original).
+    done: bool,
 }
 
 /// One in-flight delivery.
@@ -167,21 +186,20 @@ struct Completion {
     /// The flow's workload seq: the canonical fold tiebreaker.
     flow_seq: u64,
     hit: bool,
-    /// Serving proxy for hit flows (`None` = origin-served) — exact
-    /// attribution from the reply's `served_from`.
-    server: Option<u32>,
     hops: u32,
     start_us: u64,
     phase: Phase,
 }
 
-/// The latency function shared (immutably) by all workers; mirrors the
-/// single-threaded runner's closure exactly.
+/// The latency function shared (immutably) by all workers.
 struct Net {
     base: LatencyModel,
     matrix: Option<Vec<Vec<SimTime>>>,
     /// Shard count, for ownership tests during routing.
     shards: usize,
+    /// Sequential injection: a shard hands each completion to the fold
+    /// before draining further.
+    sequential: bool,
 }
 
 impl Net {
@@ -195,10 +213,21 @@ impl Net {
         self.base.latency(from, to)
     }
 
-    /// Shard owning proxy `p` (round-robin partitioning).
+    /// The shard owning proxy `p` and the proxy's index among that
+    /// shard's agents: round-robin, shard `p % N` at local `p / N`. One
+    /// shard skips the divisions, which sit on the per-event path.
+    fn place(&self, p: usize) -> (usize, usize) {
+        if self.shards == 1 {
+            (0, p)
+        } else {
+            (p % self.shards, p / self.shards)
+        }
+    }
+
+    /// Shard owning proxy `p`.
     fn shard_of(&self, p: ProxyId) -> usize {
         // Dense proxy ids fit usize on every supported target.
-        p.raw() as usize % self.shards
+        self.place(p.raw() as usize).0
     }
 }
 
@@ -226,76 +255,86 @@ fn lookahead_us(config: &SimConfig, proxies: usize) -> u64 {
     w
 }
 
-/// The probe features the sharded executor needs beyond [`Probe`]: shard
-/// construction, barrier-driven occupancy sampling, and registry
-/// extraction for the exact shard merge. Composes over probe pairs like
-/// `Probe` itself does.
+/// What the executor needs from a shard's probe beyond [`Probe`]. The
+/// sharded entry points instantiate it with [`NullProbe`] or per-shard
+/// [`MetricsProbe`]s; one-shard runs also take any caller probe through
+/// [`Attached`].
 trait ShardProbe: Probe + Send {
-    /// A fresh per-shard probe.
-    fn for_shard() -> Self;
-    /// Samples whatever the probe samples on the cluster-wide cadence
-    /// (driven by the coordinator; shards never observe completions).
-    fn barrier_sample(&mut self);
-    /// The shard's accumulated registry, if it keeps one.
-    fn into_registry(self) -> Option<Registry>;
-}
-
-impl ShardProbe for NullProbe {
-    fn for_shard() -> Self {
-        NullProbe
+    /// The coordinator samples this probe's occupancy gauges on the
+    /// cluster-wide completion cadence, at barriers (see
+    /// [`barrier_sample`](ShardProbe::barrier_sample)).
+    const BARRIER_SAMPLED: bool = false;
+    /// Records the completion of a flow the shard just delivered to its
+    /// client; `server` is the proxy named by the reply's `served_from`.
+    fn complete(&mut self, at: u64, event: SimEvent, server: Option<u32>) {
+        let _ = (at, server);
+        self.emit(event);
     }
+    /// Samples whatever the probe samples on the cluster-wide cadence.
     fn barrier_sample(&mut self) {}
-    fn into_registry(self) -> Option<Registry> {
+    /// The shard's accumulated registry, if it keeps one.
+    fn into_registry(self) -> Option<Registry>
+    where
+        Self: Sized,
+    {
         None
     }
 }
 
+impl ShardProbe for NullProbe {}
+
 impl ShardProbe for MetricsProbe {
-    fn for_shard() -> Self {
-        // Cadence 0: the coordinator drives occupancy sampling on the
-        // cluster-wide completion count via barrier_sample.
-        MetricsProbe::with_cadence(0)
+    const BARRIER_SAMPLED: bool = true;
+    fn complete(&mut self, at: u64, event: SimEvent, server: Option<u32>) {
+        // Exact attribution: the serving proxy may live on another shard,
+        // where this probe never saw its LocalHit.
+        if let SimEvent::RequestCompleted {
+            hit,
+            hops,
+            start_us,
+            ..
+        } = event
+        {
+            self.record_completion(at, hit, hops, start_us, server);
+        }
     }
     fn barrier_sample(&mut self) {
         self.sample_occupancy_now();
     }
     fn into_registry(self) -> Option<Registry> {
-        Some(self.into_registry())
+        Some(MetricsProbe::into_registry(self))
     }
 }
 
-impl<X: ShardProbe, Y: ShardProbe> ShardProbe for (X, Y) {
-    fn for_shard() -> Self {
-        (X::for_shard(), Y::for_shard())
+/// A caller's probe attached to a one-shard run: it sees every event,
+/// flow-level ones included, in delivery order.
+struct Attached<'a, P>(&'a mut P);
+
+impl<P: Probe> Probe for Attached<'_, P> {
+    const ENABLED: bool = P::ENABLED;
+    #[inline]
+    fn tick(&mut self, now_us: u64) {
+        self.0.tick(now_us);
     }
-    fn barrier_sample(&mut self) {
-        self.0.barrier_sample();
-        self.1.barrier_sample();
-    }
-    fn into_registry(self) -> Option<Registry> {
-        match (self.0.into_registry(), self.1.into_registry()) {
-            (Some(mut a), Some(b)) => {
-                a.merge(&b);
-                Some(a)
-            }
-            (a, b) => a.or(b),
-        }
+    #[inline]
+    fn emit(&mut self, event: SimEvent) {
+        self.0.emit(event);
     }
 }
 
-/// A shared view of the single-threaded runner's agent RNG stream, used
-/// in sequential mode where at most one event is live in the whole
-/// system — the lock is never contended, it only satisfies `Sync`.
+impl<P: Probe + Send> ShardProbe for Attached<'_, P> {}
+
+/// The sequential agent RNG stream shared by every shard of a
+/// multi-shard run. At most one event is live in the whole system, so
+/// the lock is never contended; it only satisfies `Sync`.
 #[derive(Debug, Clone)]
 struct SharedRng(Arc<Mutex<StdRng>>);
 
 impl SharedRng {
-    fn lock(&mut self) -> std::sync::MutexGuard<'_, StdRng> {
+    fn lock(&mut self) -> MutexGuard<'_, StdRng> {
         // A worker panic aborts the scope anyway; the state itself is
         // never left inconsistent mid-draw.
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -321,10 +360,18 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Mode-appropriate agent RNG stream(s) for one shard.
 enum AgentRngs {
-    /// Sequential: all shards share the legacy stream (see above).
+    /// Sequential at one shard: the single stream, owned outright.
+    Owned(StdRng),
+    /// Sequential at several shards: the single stream, shared.
     Shared(SharedRng),
     /// Open-loop: one independent stream per local agent.
     PerAgent(Vec<StdRng>),
+}
+
+/// Duplicate-delivery fault injection (one shard only).
+struct Faults {
+    plan: FaultPlan,
+    rng: StdRng,
 }
 
 /// Per-delivery counters a worker accumulates; summed at report time
@@ -332,8 +379,8 @@ enum AgentRngs {
 /// see `SimReport`'s field docs for max-vs-sum semantics).
 #[derive(Debug, Default, Clone, Copy)]
 struct ShardCounters {
-    events_processed: u64,
     messages_delivered: u64,
+    duplicates_injected: u64,
     bytes_from_origin: u64,
     bytes_from_caches: u64,
     client_orphans: u64,
@@ -343,15 +390,14 @@ struct ShardCounters {
 impl ShardCounters {
     /// Element-wise sum, the merge all pure event counts use.
     fn merge(&mut self, other: &ShardCounters) {
-        self.events_processed += other.events_processed;
         self.messages_delivered += other.messages_delivered;
+        self.duplicates_injected += other.duplicates_injected;
         self.bytes_from_origin += other.bytes_from_origin;
         self.bytes_from_caches += other.bytes_from_caches;
         self.client_orphans += other.client_orphans;
         self.orphan_origin_requests += other.orphan_origin_requests;
     }
 }
-
 /// Per-shard half of the execution profiler
 /// ([`ShardTuning::profile`](crate::ShardTuning::profile)): wall-clock
 /// drain accounting, the window-occupancy histogram, and chrome-trace
@@ -421,6 +467,41 @@ impl CoordProf {
     }
 }
 
+/// A shard's event queue, with counts of its pending events per
+/// destination class kept current on every push and pop (they fuel the
+/// widening bound, see [`cross_send_bound`](Shard::cross_send_bound)).
+struct EventQueue {
+    events: CalendarQueue<ShardEvent>,
+    /// Pending events by [`EventQueue::class`] of their destination.
+    pending: [usize; 3],
+}
+
+impl EventQueue {
+    /// Proxy-bound work (0) could emit a cross-shard message the moment
+    /// it is processed; origin-bound work (1) is one origin→proxy reply
+    /// latency away from one; client-bound work (2) spawns nothing.
+    fn class(to: NodeId) -> usize {
+        match to {
+            NodeId::Proxy(_) => 0,
+            NodeId::Origin => 1,
+            NodeId::Client(_) => 2,
+        }
+    }
+
+    fn push(&mut self, at: u64, key: u64, ev: ShardEvent) {
+        // class() is below the array length.
+        self.pending[Self::class(ev.to)] += 1;
+        self.events.push(at, key, ev);
+    }
+
+    fn pop_before(&mut self, end: u64) -> Option<(u64, u64, ShardEvent)> {
+        let popped = self.events.pop_before(end)?;
+        // class() is below the array length.
+        self.pending[Self::class(popped.2.to)] -= 1;
+        Some(popped)
+    }
+}
+
 /// One worker shard: a vertical slice of the simulator owning every
 /// `index + i·N`-th proxy, its events, and its resident flows.
 struct Shard<A, P> {
@@ -428,7 +509,7 @@ struct Shard<A, P> {
     /// Local agents; local index `l` holds proxy `index + l·N`.
     agents: Vec<A>,
     rngs: AgentRngs,
-    queue: CalendarQueue<ShardEvent>,
+    queue: EventQueue,
     flows: FlowTable<FlowMeta>,
     sink: ActionSink,
     probe: P,
@@ -441,33 +522,24 @@ struct Shard<A, P> {
     /// Timestamp of this shard's earliest pending event (`u64::MAX` when
     /// idle); maintained by `drain_window` and by coordinator routing.
     next_at: u64,
-    /// Pending events addressed to a proxy — work that could emit a
-    /// cross-shard message the moment it is processed. Fuels the
-    /// widening bound (see [`cross_send_bound`](Shard::cross_send_bound)).
-    pending_proxy: usize,
-    /// Pending events addressed to the origin — work whose earliest
-    /// cross-shard consequence is one origin→proxy reply latency away.
-    pending_origin: usize,
     /// The latency function, shared immutably with the coordinator and
     /// every sibling shard.
     net: Arc<Net>,
     /// Wall-clock drain profiler, present when
     /// [`ShardTuning::profile`](crate::ShardTuning::profile) is set.
     prof: Option<Box<ShardProfState>>,
+    /// Duplicate faults, when configured (one shard only).
+    faults: Option<Faults>,
+    /// The delivery log, when tracing is on (one shard only).
+    trace: Option<TraceLog>,
 }
 
 impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
-    /// Coordinator-side insertion (injection and barrier routing):
-    /// classifies the destination for the widening bound and keeps
-    /// `next_at` current.
-    fn enqueue(&mut self, at: u64, key: u64, ev: ShardEvent) {
-        match ev.to {
-            NodeId::Proxy(_) => self.pending_proxy += 1,
-            NodeId::Origin => self.pending_origin += 1,
-            NodeId::Client(_) => {}
-        }
+    /// Coordinator-side insertion (injection and barrier routing).
+    fn enqueue(&mut self, at: u64, key: u64, ev: ShardEvent, meta: FlowMeta) {
         self.next_at = self.next_at.min(at);
         self.queue.push(at, key, ev);
+        self.flows.insert(ev.message.request_id(), meta);
     }
 
     /// Conservative lower bound on the earliest simulation time at which
@@ -483,9 +555,10 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
     /// latency after the earliest pending event. Using `next_at` (≤ the
     /// earliest event of either class) keeps both branches conservative.
     fn cross_send_bound(&self, origin_reply_us: u64) -> u64 {
-        if self.pending_proxy > 0 {
+        let [to_proxy, to_origin, _] = self.queue.pending;
+        if to_proxy > 0 {
             self.next_at
-        } else if self.pending_origin > 0 {
+        } else if to_origin > 0 {
             self.next_at.saturating_add(origin_reply_us)
         } else {
             u64::MAX
@@ -502,12 +575,12 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
             self.drain_events(window_end);
             return;
         }
-        let before = self.counters.events_processed;
+        let before = self.counters.messages_delivered;
         // Profiler telemetry only. adc-lint: allow(determinism, determinism-purity)
         let t0 = Instant::now();
         self.drain_events(window_end);
         let dur = t0.elapsed();
-        let drained = self.counters.events_processed - before;
+        let drained = self.counters.messages_delivered - before;
         let lane = self.index as u32; // shard counts stay tiny
         if let Some(prof) = self.prof.as_mut() {
             // Durations ≪ 2^64 ns (584 years): the casts are lossless.
@@ -536,47 +609,40 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
     }
 
     /// Drains every local event with `at < window_end`, in `(at, key)`
-    /// order, then records the next pending timestamp.
+    /// order, then records the next pending timestamp. Under sequential
+    /// injection it stops at a completion, so the fold injects the next
+    /// flow at the completion instant even while duplicate deliveries
+    /// of the finished one are still queued.
     fn drain_events(&mut self, window_end: u64) {
-        loop {
-            match self.queue.peek_key() {
-                None => {
-                    self.next_at = u64::MAX;
-                    return;
-                }
-                Some((at, _)) if at >= window_end => {
-                    self.next_at = at;
-                    return;
-                }
-                Some(_) => {
-                    let Some((at, key, ev)) = self.queue.pop() else {
-                        // peek_key just returned Some.
-                        unreachable!("peeked event vanished");
-                    };
-                    match ev.to {
-                        NodeId::Proxy(_) => self.pending_proxy -= 1,
-                        NodeId::Origin => self.pending_origin -= 1,
-                        NodeId::Client(_) => {}
-                    }
-                    self.process(at, key, ev, window_end);
-                }
+        while let Some((at, _, ev)) = self.queue.pop_before(window_end) {
+            self.process(at, ev, window_end);
+            if self.net.sequential && !self.records.is_empty() {
+                break;
             }
         }
+        self.next_at = self.queue.events.peek_key().map_or(u64::MAX, |(at, _)| at);
     }
 
-    /// Processes one delivery, mirroring the single-threaded runner's
-    /// `Deliver` arm field for field (counters, byte accounting, hop
-    /// accounting, dispatch, sink drain).
-    fn process(&mut self, at: u64, _key: u64, ev: ShardEvent, window_end: u64) {
+    /// Processes one delivery: tracing, byte and hop accounting, fault
+    /// duplication, dispatch, and routing of whatever the dispatch sent.
+    #[inline(always)]
+    fn process(&mut self, at: u64, ev: ShardEvent, window_end: u64) {
         let now = SimTime::from_micros(at);
-        let shards_n = self.net.shards;
         if P::ENABLED {
             self.probe.tick(at);
         }
-        self.counters.events_processed += 1;
         self.counters.messages_delivered += 1;
         let ShardEvent { from, to, message } = ev;
         let id = message.request_id();
+        if let Some(log) = self.trace.as_mut() {
+            log.record(DeliveryRecord {
+                at: now,
+                request: id,
+                from,
+                to,
+                is_request: matches!(message, Message::Request(_)),
+            });
+        }
 
         // Byte accounting: a reply's body travels once per transfer;
         // attribute it to its producer.
@@ -590,99 +656,108 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
             }
         }
 
-        // The flow's metadata rides with its single in-flight message:
-        // pop it here, reinsert (locally or cross-shard) with whatever
-        // the dispatch produces. A missing flow can only mean an orphan
-        // (impossible under the validated clean-fault configs, but
-        // counted, not crashed on, like the single-threaded runner).
-        let Some(mut meta) = self.flows.remove(&id) else {
-            match (to, &message) {
-                (NodeId::Client(_), Message::Reply(_)) => self.counters.client_orphans += 1,
-                (NodeId::Origin, Message::Request(_)) => {
-                    self.counters.orphan_origin_requests += 1;
-                }
-                _ => {}
-            }
+        // Every queued event's flow is resident here: injection and
+        // routing insert the metadata with the event, and it leaves only
+        // with a cross-shard message or after the flow's last event.
+        let Some(meta) = self.flows.get_mut(&id) else {
             return;
         };
+        meta.queued -= 1;
+        let live = !meta.done;
         // A hop is any message transfer between distinct nodes, counted
         // for the flow it belongs to.
-        if from != to {
+        if live && from != to {
             meta.hops += 1;
+        }
+        if let Some(faults) = self.faults.as_mut() {
+            if faults.rng.gen_bool(faults.plan.duplicate_prob) {
+                self.counters.duplicates_injected += 1;
+                meta.step += 1;
+                meta.queued += 1;
+                let again = (now + faults.plan.duplicate_jitter).as_micros();
+                self.queue.push(again, event_key(id.seq, meta.step), ev);
+            }
         }
 
         debug_assert!(self.sink.is_empty(), "sink drained after every delivery");
-        match to {
-            NodeId::Proxy(pid) => {
+        match (to, message) {
+            (NodeId::Proxy(pid), message) => {
                 debug_assert_eq!(
                     self.net.shard_of(pid),
                     self.index,
-                    "event delivered to wrong shard"
+                    "delivered to wrong shard"
                 );
-                // Round-robin partitioning: local index = proxy / shards.
-                let agent = &mut self.agents[pid.raw() as usize / shards_n];
+                // Dense proxy ids fit usize on every supported target.
+                let (_, local) = self.net.place(pid.raw() as usize);
+                let agent = &mut self.agents[local];
                 match message {
                     Message::Request(req) => {
                         let rng: &mut dyn RngCore = match &mut self.rngs {
+                            AgentRngs::Owned(r) => r,
                             AgentRngs::Shared(r) => r,
                             // Same local index as the agent above.
-                            AgentRngs::PerAgent(v) => &mut v[pid.raw() as usize / shards_n],
+                            AgentRngs::PerAgent(v) => &mut v[local],
                         };
                         agent.on_request(req, rng, &mut self.probe, &mut self.sink);
                     }
                     Message::Reply(rep) => agent.on_reply(rep, &mut self.probe, &mut self.sink),
                 }
             }
-            NodeId::Origin => match message {
-                Message::Request(req) => {
-                    // The origin always resolves; reply to the proxy that
-                    // sent the request. The origin is stateless, so the
-                    // round trip stays on the sending proxy's shard.
-                    let reply = Reply::from_origin(&req, meta.size);
-                    self.sink.send(req.sender, reply);
-                }
-                Message::Reply(_) => {
-                    debug_assert!(false, "origin never receives replies");
-                }
-            },
-            NodeId::Client(_) => match message {
-                Message::Reply(rep) => {
-                    // Flow complete: record for the coordinator fold; the
-                    // metadata is consumed and nothing is re-queued.
+            (NodeId::Origin, Message::Request(req)) => {
+                // The origin always resolves; reply to the proxy that sent
+                // the request, on the same shard. A request whose flow
+                // already completed gets the nominal size, and is counted.
+                let size = if live {
+                    meta.size
+                } else {
+                    self.counters.orphan_origin_requests += 1;
+                    adc_core::DEFAULT_OBJECT_SIZE
+                };
+                self.sink.send(req.sender, Reply::from_origin(&req, size));
+            }
+            (NodeId::Client(_), Message::Reply(rep)) if live => {
+                meta.done = true;
+                let hit = rep.served_from.is_hit();
+                if P::ENABLED {
                     let server = match rep.served_from {
-                        adc_core::ServedFrom::Cache(p) => Some(p.raw()),
-                        adc_core::ServedFrom::Origin => None,
+                        ServedFrom::Cache(p) => Some(p.raw()),
+                        ServedFrom::Origin => None,
                     };
-                    self.records.push(Completion {
-                        at,
-                        flow_seq: id.seq,
-                        hit: rep.served_from.is_hit(),
-                        server,
+                    let event = SimEvent::RequestCompleted {
+                        client: id.client.raw(),
+                        seq: id.seq,
+                        object: rep.object.raw(),
+                        hit,
                         hops: meta.hops,
                         start_us: meta.start.as_micros(),
-                        phase: meta.phase,
-                    });
-                    return;
+                    };
+                    self.probe.complete(at, event, server);
                 }
-                Message::Request(_) => {
-                    debug_assert!(false, "clients never receive requests");
-                }
-            },
+                self.records.push(Completion {
+                    at,
+                    flow_seq: id.seq,
+                    hit,
+                    hops: meta.hops,
+                    start_us: meta.start.as_micros(),
+                    phase: meta.phase,
+                });
+            }
+            (NodeId::Client(_), Message::Reply(_)) => self.counters.client_orphans += 1,
+            (NodeId::Origin, Message::Reply(_)) | (NodeId::Client(_), Message::Request(_)) => {
+                debug_assert!(false, "origins get requests and clients get replies");
+            }
         }
 
-        // Route the (at most one) outgoing action. Dispatch consumed the
-        // flow's metadata above, so exactly one reinsertion happens here;
-        // an agent that drops a flow (never under the cooperative
-        // protocols) simply ends it, as in the single-threaded runner.
+        let mut moved = false;
         for action in self.sink.drain() {
             let Action::Send {
                 to: dest,
                 mut message,
             } = action;
-            // Agents only know a nominal object size; the workload's
-            // size lives in the flow metadata. Normalize replies so byte
+            // Agents only know a nominal object size; the workload's size
+            // lives in the flow metadata. Normalize replies so byte
             // accounting and the client-visible size are the workload's.
-            if let Message::Reply(rep) = &mut message {
+            if let (true, Message::Reply(rep)) = (live, &mut message) {
                 rep.size = meta.size;
             }
             let mut out_at = now + self.net.latency(to, dest);
@@ -693,10 +768,6 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
                 out_at += self.net.base.origin_service;
             }
             meta.step += 1;
-            debug_assert!(
-                u64::from(meta.step) < (1 << STEP_BITS),
-                "flow step overflows the event key"
-            );
             let key = event_key(id.seq, meta.step);
             let ev = ShardEvent {
                 from: to,
@@ -717,27 +788,27 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
                         out_at.as_micros(),
                         window_end
                     );
+                    debug_assert_eq!(
+                        meta.queued, 0,
+                        "a flow crossing shards leaves nothing behind"
+                    );
+                    moved = true;
                     // Outboxes are sized to the shard count at startup.
                     self.outboxes[self.net.shard_of(p)].push(Routed {
                         at: out_at.as_micros(),
                         key,
                         ev,
-                        meta,
+                        meta: FlowMeta { queued: 1, ..*meta },
                     });
                 }
                 _ => {
-                    // Local reinsertion: classify for the widening bound
-                    // (the sink borrow is live, so this mirrors
-                    // `enqueue` on disjoint fields).
-                    match dest {
-                        NodeId::Proxy(_) => self.pending_proxy += 1,
-                        NodeId::Origin => self.pending_origin += 1,
-                        NodeId::Client(_) => {}
-                    }
+                    meta.queued += 1;
                     self.queue.push(out_at.as_micros(), key, ev);
-                    self.flows.insert(id, meta);
                 }
             }
+        }
+        if moved || (meta.done && meta.queued == 0) {
+            self.flows.remove(&id);
         }
     }
 }
@@ -762,54 +833,134 @@ fn lock_all<W>(cells: &[Mutex<W>]) -> Vec<MutexGuard<'_, W>> {
         .collect()
 }
 
-/// Rejects configurations the sharded executor cannot reproduce
-/// deterministically, returning the lookahead `W` in microseconds.
-fn validate_sharded(config: &SimConfig, proxies: usize, shards: usize) -> u64 {
+/// Checks what the executor needs from the configuration and returns the
+/// barrier grid width in microseconds: the lookahead bound, or at one
+/// shard with a zero-latency network, the open-loop interval.
+fn validate(config: &SimConfig, proxies: usize, shards: usize) -> u64 {
     assert!(shards >= 1, "shards must be at least 1");
+    let interval_us = match config.injection {
+        InjectionMode::Sequential => 0,
+        InjectionMode::OpenLoop { interval } => interval.as_micros(),
+    };
     assert!(
-        config.faults.is_clean(),
-        "sharded execution does not support fault injection (duplicates would need \
-         cross-shard coordination mid-window)"
+        config.injection == InjectionMode::Sequential || interval_us > 0,
+        "open-loop interval must be positive"
     );
-    assert!(
-        config.churn.is_empty(),
-        "sharded execution does not support churn (restarts fire on the global \
-         completion count, which workers cannot observe mid-window)"
-    );
-    assert_eq!(
-        config.trace_capacity, 0,
-        "sharded execution does not support delivery tracing (the trace log is a \
-         single totally-ordered stream)"
-    );
-    if let InjectionMode::OpenLoop { interval } = config.injection {
+    let w = lookahead_us(config, proxies);
+    if shards > 1 {
         assert!(
-            interval.as_micros() > 0,
-            "open-loop interval must be positive under sharded execution"
+            config.faults.is_clean(),
+            "sharded execution does not support fault injection (duplicates would need \
+             cross-shard coordination mid-window)"
+        );
+        assert_eq!(
+            config.trace_capacity, 0,
+            "sharded execution does not support delivery tracing (the trace log is a \
+             single totally-ordered stream)"
+        );
+        assert!(
+            w > 0,
+            "sharded execution needs a positive minimum latency as its lookahead bound \
+             (instant networks serialize everything; use the single-threaded runner)"
         );
     }
-    let w = lookahead_us(config, proxies);
-    assert!(
-        w > 0,
-        "sharded execution needs a positive minimum latency as its lookahead bound \
-         (instant networks serialize everything; use the single-threaded runner)"
-    );
-    w
+    if w > 0 {
+        w
+    } else {
+        interval_us
+    }
 }
 
 impl<A: CacheAgent + Send> Simulation<A> {
-    /// Runs the workload on `shards` worker shards and returns the
-    /// report; see the [module docs](self) for the synchronization
-    /// protocol and the determinism guarantees. With
-    /// [`InjectionMode::Sequential`] the report is byte-identical to
-    /// [`Simulation::run`]; with open-loop injection it is invariant in
-    /// `shards` (any `shards ≥ 1`, including counts exceeding the proxy
-    /// count).
+    /// Runs the workload to completion.
+    pub fn run(self, workload: impl IntoIterator<Item = RequestRecord>) -> SimReport {
+        self.run_with_agents(workload).0
+    }
+
+    /// Runs the workload to completion and returns the report together
+    /// with the agents (for post-run inspection). Observability is off
+    /// ([`NullProbe`]); the probe plumbing compiles away entirely, so
+    /// this is the unobserved hot path.
+    pub fn run_with_agents(
+        self,
+        workload: impl IntoIterator<Item = RequestRecord>,
+    ) -> (SimReport, Vec<A>) {
+        self.run_sharded_with_agents(workload, 1)
+    }
+
+    /// Runs the workload to completion with `probe` attached; see
+    /// [`run_observed_with_agents`](Simulation::run_observed_with_agents).
+    pub fn run_observed<P: Probe + Send>(
+        self,
+        workload: impl IntoIterator<Item = RequestRecord>,
+        probe: &mut P,
+    ) -> SimReport {
+        self.run_observed_with_agents(workload, probe).0
+    }
+
+    /// Runs the workload at one shard with every simulation event fed
+    /// through `probe`, returning the report and the agents.
+    ///
+    /// The probe is ticked with virtual time (microseconds) before each
+    /// delivery is processed and before each injection, then receives
+    /// the typed [`SimEvent`]s the agents and the executor emit. Under
+    /// open-loop injection the arrivals of a window are injected before
+    /// the window drains, so their ticks run ahead of the deliveries
+    /// that follow. With [`NullProbe`] every emission site is statically
+    /// dead code, so observability costs nothing unless a real probe is
+    /// attached.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`, if the configuration enables faults,
-    /// churn or tracing, if an open-loop interval is zero, or if every
-    /// configured latency is zero (no positive lookahead bound).
+    /// As [`run_sharded`](Simulation::run_sharded) with one shard.
+    pub fn run_observed_with_agents<P: Probe + Send>(
+        self,
+        workload: impl IntoIterator<Item = RequestRecord>,
+        probe: &mut P,
+    ) -> (SimReport, Vec<A>) {
+        let (report, agents, _) = execute(self, workload, vec![Attached(probe)]);
+        (report, agents)
+    }
+
+    /// Runs the workload with a [`MetricsProbe`] attached and the
+    /// resulting per-proxy families embedded in [`SimReport::metrics`].
+    /// The probe is a pure event consumer — it never touches the RNG
+    /// streams or event order, so results are identical to an unobserved
+    /// run of the same seed.
+    pub fn run_with_metrics(self, workload: impl IntoIterator<Item = RequestRecord>) -> SimReport {
+        let mut probe = MetricsProbe::new();
+        let (mut report, _) = self.run_observed_with_agents(workload, &mut probe);
+        report.metrics = Some(probe.report());
+        report
+    }
+
+    /// Runs the workload with a [`SpanProbe`](adc_obs::SpanProbe)
+    /// attached and the resulting causal latency breakdown embedded in
+    /// [`SimReport::spans`], keeping the `top_k` slowest flows in the
+    /// digest. Like every probe, the recorder is a pure event consumer:
+    /// the deterministic report is identical to an unobserved run.
+    pub fn run_with_spans(
+        self,
+        workload: impl IntoIterator<Item = RequestRecord>,
+        top_k: usize,
+    ) -> SimReport {
+        let mut probe = adc_obs::SpanProbe::with_top_k(top_k);
+        let (mut report, _) = self.run_observed_with_agents(workload, &mut probe);
+        report.spans = Some(probe.into_report());
+        report
+    }
+
+    /// Runs the workload on `shards` worker shards and returns the
+    /// report; see the [module docs](self) for the synchronization
+    /// protocol and the determinism guarantees. The report is invariant
+    /// in `shards` (any `shards ≥ 1`, including counts exceeding the
+    /// proxy count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards == 0` or an open-loop interval is zero, and, for
+    /// `shards > 1`, if the configuration enables faults or tracing or
+    /// every configured latency is zero (no positive lookahead bound).
     pub fn run_sharded(
         self,
         workload: impl IntoIterator<Item = RequestRecord>,
@@ -829,15 +980,15 @@ impl<A: CacheAgent + Send> Simulation<A> {
         workload: impl IntoIterator<Item = RequestRecord>,
         shards: usize,
     ) -> (SimReport, Vec<A>) {
-        let (report, agents, _) = run_sharded_inner::<A, NullProbe>(self, workload, shards, None);
+        let (report, agents, _) = execute(self, workload, vec![NullProbe; shards]);
         (report, agents)
     }
 
     /// [`run_sharded`](Simulation::run_sharded) with per-shard
-    /// [`MetricsProbe`]s attached; their registries and the
-    /// coordinator's completion registry fold through the exact
-    /// [`Registry::merge`] into [`SimReport::metrics`], byte-identical
-    /// to [`Simulation::run_with_metrics`] under sequential injection.
+    /// [`MetricsProbe`]s attached; their registries fold through the
+    /// exact [`Registry::merge`] into [`SimReport::metrics`],
+    /// byte-identical to [`Simulation::run_with_metrics`] under
+    /// sequential injection.
     ///
     /// # Panics
     ///
@@ -847,101 +998,286 @@ impl<A: CacheAgent + Send> Simulation<A> {
         workload: impl IntoIterator<Item = RequestRecord>,
         shards: usize,
     ) -> SimReport {
-        let coord = MetricsProbe::with_cadence(0);
-        let (mut report, _, registry) =
-            run_sharded_inner::<A, MetricsProbe>(self, workload, shards, Some(coord));
+        // Cadence 0: the coordinator drives occupancy sampling on the
+        // cluster-wide completion count via barrier_sample.
+        let probes = (0..shards).map(|_| MetricsProbe::with_cadence(0)).collect();
+        let (mut report, _, registry) = execute(self, workload, probes);
         report.metrics = registry.as_ref().map(MetricsReport::from_registry);
         report
     }
 }
 
-/// Live state for the periodic convergence sampler (the sharded twin of
-/// the runner's `ConvState`; ordered map so hot-set selection never
-/// depends on a randomized hasher).
+/// Live state for the periodic convergence sampler: injected-request
+/// counts (to pick the hot set) plus the tracker folding snapshots into
+/// series. Ordered map: hot-set selection must never depend on a
+/// randomized hasher.
 struct ConvState {
     cfg: ConvergenceConfig,
     counts: BTreeMap<u64, u64>,
     tracker: ConvergenceTracker,
 }
 
-/// Injects the next workload request at `now`, routing its first
-/// delivery into the owner shard. `shards` is the coordinator's locked
-/// view of the shard cells (or any other exclusive view of them).
-/// Returns false when the workload is exhausted.
-#[allow(clippy::too_many_arguments)] // the coordinator's loop state, threaded explicitly
-fn inject_next<A, P, G>(
-    now: SimTime,
-    shards: &mut [G],
-    workload: &mut dyn Iterator<Item = RequestRecord>,
-    net: &Net,
-    n: u32,
+/// The coordinator's side of a run: the arrival process and the
+/// canonical completion fold with every cluster-wide accumulator.
+struct Coordinator<W> {
+    workload: W,
+    workload_done: bool,
+    net: Arc<Net>,
+    proxies: usize,
     assignment: ClientAssignment,
-    assign_rng: &mut StdRng,
-    conv: &mut Option<ConvState>,
-    coord_probe: &mut Option<MetricsProbe>,
-    inj_times: &mut VecDeque<u64>,
-    injected: &mut u64,
-) -> bool
-where
-    A: CacheAgent,
-    P: ShardProbe,
-    G: std::ops::DerefMut<Target = Shard<A, P>>,
-{
-    let Some(record) = workload.next() else {
-        return false;
-    };
-    if let Some(c) = conv.as_mut() {
-        *c.counts.entry(record.object.raw()).or_insert(0) += 1;
-    }
-    if let Some(p) = coord_probe.as_mut() {
-        p.emit(SimEvent::RequestInjected {
-            client: record.client.raw(),
-            seq: record.seq,
-            object: record.object.raw(),
-        });
-    }
-    let proxy = match assignment {
-        ClientAssignment::Sticky => ProxyId::new(record.client.raw() % n),
-        ClientAssignment::RandomPerRequest => ProxyId::new(assign_rng.gen_range(0..n)),
-    };
-    let id = RequestId::new(record.client, record.seq);
-    let meta = FlowMeta {
-        start: now,
-        hops: 0,
-        step: 0,
-        size: record.size,
-        phase: record.phase,
-    };
-    let request = Request::new(id, record.object, record.client);
-    let from = NodeId::Client(record.client);
-    let to = NodeId::Proxy(proxy);
-    let at = (now + net.latency(from, to)).as_micros();
-    // shard_of() is always below the shard count.
-    let shard = &mut shards[net.shard_of(proxy)];
-    shard.enqueue(
-        at,
-        event_key(id.seq, 0),
-        ShardEvent {
-            from,
-            to,
-            message: Message::Request(request),
-        },
-    );
-    shard.flows.insert(id, meta);
-    inj_times.push_back(now.as_micros());
-    *injected += 1;
-    true
+    assign_rng: StdRng,
+    completed: u64,
+    hits: u64,
+    phases: [PhaseStats; 3],
+    hops: Summary,
+    latency: Summary,
+    latency_p50: P2Quantile,
+    latency_p99: P2Quantile,
+    hit_window: MovingAverage,
+    hops_window: MovingAverage,
+    hit_sampler: Sampler,
+    hops_sampler: Sampler,
+    occupancy: Option<Vec<Sampler>>,
+    conv: Option<ConvState>,
+    /// Scheduled restarts, sorted by completion count, and the next one.
+    churn: Vec<ChurnEvent>,
+    churn_next: usize,
+    proxies_reset: u64,
+    /// Injection times not yet settled into the live-flow count.
+    inj_times: VecDeque<u64>,
+    live_flows: usize,
+    peak_flows: usize,
+    injected: u64,
+    /// Reusable fold buffer: every shard's completions, sorted globally.
+    records: Vec<Completion>,
 }
 
-/// The coordinator loop: builds the shards, advances the window barrier
-/// until every queue drains, folds completions, and assembles the
-/// report. Returns `(report, agents in id order, merged registry)`.
-#[allow(clippy::too_many_lines)] // one loop, mirroring the runner's shape
-fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
+impl<W: Iterator<Item = RequestRecord>> Coordinator<W> {
+    fn new(workload: W, config: &SimConfig, net: Arc<Net>, proxies: usize) -> Self {
+        let mut churn = config.churn.clone();
+        churn.sort_by_key(|c| c.after_completed);
+        Coordinator {
+            workload,
+            workload_done: false,
+            net,
+            proxies,
+            assignment: config.assignment,
+            assign_rng: StdRng::seed_from_u64(config.seed ^ 0xA551),
+            completed: 0,
+            hits: 0,
+            phases: [PhaseStats::default(); 3],
+            hops: Summary::new(),
+            latency: Summary::new(),
+            latency_p50: P2Quantile::new(0.5),
+            latency_p99: P2Quantile::new(0.99),
+            hit_window: MovingAverage::new(config.hit_window),
+            hops_window: MovingAverage::new(config.hit_window),
+            hit_sampler: Sampler::new("hit_rate", config.sample_every),
+            hops_sampler: Sampler::new("hops", config.sample_every),
+            // Unnamed until the report is built, keeping the fold free
+            // of string formatting.
+            occupancy: config.sample_occupancy.then(|| {
+                (0..proxies)
+                    .map(|_| Sampler::new("", config.sample_every))
+                    .collect()
+            }),
+            conv: config.convergence.map(|cfg| ConvState {
+                cfg,
+                counts: BTreeMap::new(),
+                tracker: ConvergenceTracker::new(),
+            }),
+            churn,
+            churn_next: 0,
+            proxies_reset: 0,
+            inj_times: VecDeque::new(),
+            live_flows: 0,
+            peak_flows: 0,
+            injected: 0,
+            records: Vec::new(),
+        }
+    }
+
+    /// Injects the next workload request at `now`, routing its first
+    /// delivery into the owner shard. Marks the workload done when it is
+    /// exhausted.
+    fn inject<A, P, G>(&mut self, now: SimTime, shards: &mut [G])
+    where
+        A: CacheAgent,
+        P: ShardProbe,
+        G: DerefMut<Target = Shard<A, P>>,
+    {
+        let Some(record) = self.workload.next() else {
+            self.workload_done = true;
+            return;
+        };
+        if let Some(c) = self.conv.as_mut() {
+            *c.counts.entry(record.object.raw()).or_insert(0) += 1;
+        }
+        let n = self.proxies as u32; // proxy counts stay tiny
+        let proxy = match self.assignment {
+            ClientAssignment::Sticky => ProxyId::new(record.client.raw() % n),
+            ClientAssignment::RandomPerRequest => ProxyId::new(self.assign_rng.gen_range(0..n)),
+        };
+        let id = RequestId::new(record.client, record.seq);
+        let from = NodeId::Client(record.client);
+        let to = NodeId::Proxy(proxy);
+        // shard_of() is always below the shard count.
+        let shard = &mut *shards[self.net.shard_of(proxy)];
+        if P::ENABLED {
+            shard.probe.tick(now.as_micros());
+            shard.probe.emit(SimEvent::RequestInjected {
+                client: record.client.raw(),
+                seq: record.seq,
+                object: record.object.raw(),
+            });
+        }
+        let meta = FlowMeta {
+            start: now,
+            hops: 0,
+            step: 0,
+            size: record.size,
+            phase: record.phase,
+            queued: 1,
+            done: false,
+        };
+        let ev = ShardEvent {
+            from,
+            to,
+            message: Message::Request(Request::new(id, record.object, record.client)),
+        };
+        let at = (now + self.net.latency(from, to)).as_micros();
+        shard.enqueue(at, event_key(id.seq, 0), ev, meta);
+        self.inj_times.push_back(now.as_micros());
+        self.injected += 1;
+    }
+
+    /// Counts every injection before `t` as live, in time order.
+    fn settle_injections(&mut self, t: u64) {
+        while self.inj_times.front().is_some_and(|&i| i < t) {
+            self.inj_times.pop_front();
+            self.live_flows += 1;
+            self.peak_flows = self.peak_flows.max(self.live_flows);
+        }
+    }
+
+    /// The canonical completion fold: replays the `(at, flow_seq)`-sorted
+    /// global completion sequence through the cluster-wide bookkeeping,
+    /// then settles injections up to the fold horizon `fold_end`.
+    fn fold<A, P, G>(&mut self, shards: &mut [G], fold_end: u64)
+    where
+        A: CacheAgent,
+        P: ShardProbe,
+        G: DerefMut<Target = Shard<A, P>>,
+    {
+        let mut records = std::mem::take(&mut self.records);
+        records.clear();
+        for shard in shards.iter_mut() {
+            records.append(&mut shard.records);
+        }
+        records.sort_unstable_by_key(|r| (r.at, r.flow_seq));
+        let n = self.net.shards;
+        for rec in &records {
+            // Flows injected before this completion went live first
+            // (completions settle first on exact timestamp ties).
+            self.settle_injections(rec.at);
+            self.live_flows = self.live_flows.saturating_sub(1);
+            self.completed += 1;
+            self.hits += u64::from(rec.hit);
+            let phase = match rec.phase {
+                Phase::Fill => 0,
+                Phase::RequestI => 1,
+                Phase::RequestII => 2,
+            };
+            // phase is 0..3 by construction.
+            self.phases[phase].requests += 1;
+            self.phases[phase].hits += u64::from(rec.hit);
+            let hops = f64::from(rec.hops);
+            let completed = self.completed as f64; // < 2^53: exact
+            let latency_us = (rec.at - rec.start_us) as f64; // < 2^53: exact
+            self.hops.push(hops);
+            self.latency.push(latency_us);
+            self.latency_p50.push(latency_us);
+            self.latency_p99.push(latency_us);
+            self.hit_window.push_bool(rec.hit);
+            self.hops_window.push(hops);
+            if let Some(v) = self.hit_window.value() {
+                self.hit_sampler.observe(completed, v);
+            }
+            if let Some(v) = self.hops_window.value() {
+                self.hops_sampler.observe(completed, v);
+            }
+            if let Some(occupancy) = self.occupancy.as_mut() {
+                for (s, shard) in shards.iter().enumerate() {
+                    for (l, agent) in shard.agents.iter().enumerate() {
+                        // Local l on shard s is proxy s + l·N, below the
+                        // proxy count; cache sizes ≪ 2^53: exact.
+                        occupancy[s + l * n].observe(completed, agent.cached_objects() as f64);
+                    }
+                }
+            }
+            // Convergence: snapshot every agent's owner hint for the hot
+            // set on the sampling schedule.
+            if let Some(c) = self.conv.as_mut() {
+                if self.completed.is_multiple_of(c.cfg.sample_every) {
+                    let mut hot: Vec<(u64, u64)> = c.counts.iter().map(|(&o, &k)| (o, k)).collect();
+                    hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                    hot.truncate(c.cfg.top_k);
+                    let snapshot: Vec<(u64, Vec<Option<u32>>)> = hot
+                        .iter()
+                        .map(|&(object, _)| {
+                            let hints = (0..self.proxies)
+                                .map(|p| {
+                                    let (s, l) = self.net.place(p);
+                                    // place() maps a proxy id into the layout.
+                                    let agent = &shards[s].agents[l];
+                                    agent.owner_hint(ObjectId::new(object)).map(|o| o.raw())
+                                })
+                                .collect();
+                            (object, hints)
+                        })
+                        .collect();
+                    c.tracker.sample(completed, &snapshot);
+                }
+            }
+            if P::BARRIER_SAMPLED && self.completed.is_multiple_of(METRICS_CADENCE) {
+                for shard in shards.iter_mut() {
+                    shard.probe.barrier_sample();
+                }
+            }
+            // Scheduled proxy restarts fire on completion boundaries.
+            while let Some(c) = self.churn.get(self.churn_next) {
+                if c.after_completed > self.completed {
+                    break;
+                }
+                let p = c.proxy.raw() as usize; // u32 → usize widens
+                if p < self.proxies {
+                    // place() maps a proxy id into the layout.
+                    let (s, l) = self.net.place(p);
+                    shards[s].agents[l].reset();
+                    self.proxies_reset += 1;
+                }
+                self.churn_next += 1;
+            }
+            // Sequential: the completed flow hands its slot to the next
+            // workload request, injected at the completion instant.
+            if self.net.sequential && !self.workload_done {
+                self.inject(SimTime::from_micros(rec.at), shards);
+            }
+        }
+        self.records = records;
+        self.settle_injections(fold_end);
+    }
+}
+
+/// The executor: builds one shard per entry of `probes`, advances the
+/// window barrier until every queue drains, folds completions, and
+/// assembles the report. Returns `(report, agents in id order, merged
+/// registry)`.
+#[allow(clippy::too_many_lines)] // one loop: windows, arrivals, barrier, fold
+fn execute<A: CacheAgent + Send, P: ShardProbe>(
     sim: Simulation<A>,
     workload: impl IntoIterator<Item = RequestRecord>,
-    shards_n: usize,
-    mut coord_probe: Option<MetricsProbe>,
+    probes: Vec<P>,
 ) -> (SimReport, Vec<A>, Option<Registry>) {
     // Wall telemetry only. adc-lint: allow(determinism, determinism-purity)
     let wall_start = Instant::now();
@@ -949,121 +1285,103 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     // need cross-thread aggregation for a number no gate consumes.
     let cpu_start = crate::cputime::thread_cpu_now();
     let Simulation { agents, config } = sim;
+    let shards_n = probes.len();
     let n_proxies = agents.len();
-    let n = n_proxies as u32; // proxy counts stay tiny
-    let window_us = validate_sharded(&config, n_proxies, shards_n);
+    let window_us = validate(&config, n_proxies, shards_n);
+    let sequential = config.injection == InjectionMode::Sequential;
     let net = Arc::new(Net {
         base: config.latency,
         matrix: config.proxy_latency_matrix.clone(),
         shards: shards_n,
+        sequential,
     });
 
-    // Partition agents round-robin: proxy p → shard p % N. The shared
-    // sequential RNG is the legacy stream; per-agent open-loop streams
-    // decorrelate via splitmix64 over the proxy id.
-    let sequential = config.injection == InjectionMode::Sequential;
-    let shared_rng = SharedRng(Arc::new(Mutex::new(StdRng::seed_from_u64(
-        config.seed ^ 0xA6E7,
-    ))));
+    // Partition agents round-robin: proxy p → shard p % N. The one
+    // sequential stream is shared across shards; per-agent open-loop
+    // streams decorrelate via splitmix64 over the proxy id.
+    let agent_seed = config.seed ^ 0xA6E7;
+    let shared_rng = SharedRng(Arc::new(Mutex::new(StdRng::seed_from_u64(agent_seed))));
     let mut shard_agents: Vec<Vec<A>> = (0..shards_n).map(|_| Vec::new()).collect();
     for (p, agent) in agents.into_iter().enumerate() {
         // Round-robin: proxy p lives on shard p % N.
         shard_agents[p % shards_n].push(agent);
     }
-    let shards: Vec<Shard<A, P>> = shard_agents
+    let cells: Vec<Mutex<Shard<A, P>>> = shard_agents
         .into_iter()
+        .zip(probes)
         .enumerate()
-        .map(|(index, agents)| {
-            let rngs = if sequential {
-                AgentRngs::Shared(shared_rng.clone())
-            } else {
+        .map(|(index, (agents, probe))| {
+            let rngs = if !sequential {
                 AgentRngs::PerAgent(
                     (0..agents.len())
                         // Local l on shard s is proxy s + l·N; seed from
                         // the global proxy id so partitioning is moot.
                         .map(|l| {
                             let proxy = (index + l * shards_n) as u64; // dense ids
-                            StdRng::seed_from_u64(config.seed ^ 0xA6E7 ^ splitmix64(proxy + 1))
+                            StdRng::seed_from_u64(agent_seed ^ splitmix64(proxy + 1))
                         })
                         .collect(),
                 )
+            } else if shards_n == 1 {
+                AgentRngs::Owned(StdRng::seed_from_u64(agent_seed))
+            } else {
+                AgentRngs::Shared(shared_rng.clone())
             };
-            Shard {
+            Mutex::new(Shard {
                 index,
                 agents,
                 rngs,
-                queue: CalendarQueue::new(),
+                queue: EventQueue {
+                    events: CalendarQueue::new(),
+                    pending: [0; 3],
+                },
                 flows: FlowTable::new(),
                 sink: ActionSink::new(),
-                probe: P::for_shard(),
+                probe,
                 records: Vec::new(),
                 outboxes: (0..shards_n).map(|_| Vec::new()).collect(),
                 counters: ShardCounters::default(),
                 next_at: u64::MAX,
-                pending_proxy: 0,
-                pending_origin: 0,
                 net: Arc::clone(&net),
                 prof: config
                     .shard
                     .profile
                     .then(|| Box::new(ShardProfState::new(wall_start))),
-            }
+                // Both are rejected above unless there is a single shard.
+                faults: (!config.faults.is_clean()).then(|| Faults {
+                    plan: config.faults,
+                    rng: StdRng::seed_from_u64(config.seed ^ 0xFA17),
+                }),
+                trace: (config.trace_capacity > 0).then(|| TraceLog::new(config.trace_capacity)),
+            })
         })
         .collect();
 
-    let mut workload = workload.into_iter();
-    let mut assign_rng = StdRng::seed_from_u64(config.seed ^ 0xA551);
-    let assignment = config.assignment;
-
-    // Coordinator-side accounting (the runner's locals, verbatim).
-    let mut completed: u64 = 0;
-    let mut hits: u64 = 0;
-    let mut phases = [PhaseStats::default(); 3];
-    let mut hops_summary = Summary::new();
-    let mut latency_summary = Summary::new();
-    let mut latency_p50 = P2Quantile::new(0.5);
-    let mut latency_p99 = P2Quantile::new(0.99);
-    let mut hit_window = MovingAverage::new(config.hit_window);
-    let mut hops_window = MovingAverage::new(config.hit_window);
-    let mut hit_sampler = Sampler::new("hit_rate", config.sample_every);
-    let mut hops_sampler = Sampler::new("hops", config.sample_every);
-    let mut occupancy: Option<Vec<Sampler>> = config.sample_occupancy.then(|| {
-        (0..n_proxies)
-            .map(|_| Sampler::new("", config.sample_every))
-            .collect()
-    });
-    let mut conv: Option<ConvState> = config.convergence.map(|cfg| ConvState {
-        cfg,
-        counts: BTreeMap::new(),
-        tracker: ConvergenceTracker::new(),
-    });
-
-    // Live-flow peak accounting: flows enter at injection and leave at
-    // completion; the coordinator replays both in time order (see
-    // SimReport::peak_flows for the tie rule).
-    let mut inj_times: VecDeque<u64> = VecDeque::new();
-    let mut live_flows: usize = 0;
-    let mut peak_flows: usize = 0;
-    let mut injected: u64 = 0;
-    let mut workload_done = false;
+    let mut coord = Coordinator::new(workload.into_iter(), &config, Arc::clone(&net), n_proxies);
 
     // Synchronization tuning (see ShardTuning). Widening and batched
     // folds move barrier placement, which is observable only by
-    // barrier-driven state sampling (occupancy series, convergence
-    // snapshots, metrics probes) in open-loop runs; sequential mode is
-    // immune — each of its folds sees at most one completion, with all
-    // of that flow's agent mutations already settled. Gate both
-    // features off exactly when an open-loop run samples state at
-    // barriers, so every tuning combination yields identical bytes.
-    let state_samplers = occupancy.is_some() || conv.is_some() || coord_probe.is_some();
+    // barrier-driven state sampling and churn restarts in open-loop
+    // runs; sequential mode is immune — each of its folds sees at most
+    // one completion, with all of that flow's agent mutations already
+    // settled. Gate both features off exactly when an open-loop run acts
+    // on state at barriers, so every tuning combination yields identical
+    // bytes.
+    let state_samplers = coord.occupancy.is_some()
+        || coord.conv.is_some()
+        || P::BARRIER_SAMPLED
+        || !coord.churn.is_empty();
     let widen = config.shard.widen && (sequential || !state_samplers);
     let fold_every: u32 = if sequential || state_samplers {
         // Sequential folds drive re-injection and must run every
-        // barrier; sampling runs pin the legacy fold cadence.
+        // barrier; sampling runs pin the fold to every barrier.
         1
     } else {
         config.shard.fold_batch.max(1)
     };
+    // One shard sequential: no message can cross shards, so each flow
+    // drains in a single window.
+    let whole_flows = sequential && shards_n == 1;
     // The coordinator always executes shards too, so more workers than
     // `shards - 1` could never claim a cell.
     let workers = config
@@ -1086,158 +1404,18 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     let mut exec = ShardExecStats::default();
     // Coordinator half of the execution profiler (None = profiling off).
     let mut coord_prof: Option<CoordProf> = config.shard.profile.then(CoordProf::new);
-    // Reusable fold buffer: every shard's completions, sorted globally.
-    let mut records_buf: Vec<Completion> = Vec::new();
     // Barriers since the last fold, and the latest barrier timestamp
     // (the settling horizon of a deferred fold).
     let mut fold_pending: u32 = 0;
     let mut last_window_end: u64 = 0;
 
-    let cells: Vec<Mutex<Shard<A, P>>> = shards.into_iter().map(Mutex::new).collect();
     let ((), spawned) = pool::with_pool(&cells, workers, |pool| {
         let mut guards = lock_all(&cells);
-
-        // Canonical completion fold: replay the `(at, flow_seq)`-sorted
-        // global completion sequence through the legacy bookkeeping,
-        // then settle injections up to the fold horizon. A macro rather
-        // than a closure so each expansion can borrow the coordinator's
-        // whole local state.
-        macro_rules! fold_completions {
-            ($fold_end:expr) => {{
-                let fold_end: u64 = $fold_end;
-                records_buf.clear();
-                for shard in guards.iter_mut() {
-                    records_buf.append(&mut shard.records);
-                }
-                records_buf.sort_unstable_by_key(|r| (r.at, r.flow_seq));
-                for &rec in records_buf.iter() {
-                    // Flows injected before this completion went live
-                    // first (completions settle first on exact
-                    // timestamp ties, making the fold independent of
-                    // the runner's push order).
-                    while inj_times.front().is_some_and(|&t| t < rec.at) {
-                        inj_times.pop_front();
-                        live_flows += 1;
-                        peak_flows = peak_flows.max(live_flows);
-                    }
-                    live_flows = live_flows.saturating_sub(1);
-                    completed += 1;
-                    if rec.hit {
-                        hits += 1;
-                    }
-                    if let Some(p) = coord_probe.as_mut() {
-                        p.record_completion(rec.at, rec.hit, rec.hops, rec.start_us, rec.server);
-                    }
-                    let phase_idx = match rec.phase {
-                        Phase::Fill => 0,
-                        Phase::RequestI => 1,
-                        Phase::RequestII => 2,
-                    };
-                    // phase_idx is 0..3 by construction.
-                    phases[phase_idx].requests += 1;
-                    phases[phase_idx].hits += u64::from(rec.hit);
-                    let hops_f = f64::from(rec.hops);
-                    let completed_f = completed as f64; // < 2^53: exact
-                    let latency_us = (rec.at - rec.start_us) as f64; // < 2^53: exact
-                    hops_summary.push(hops_f);
-                    latency_summary.push(latency_us);
-                    latency_p50.push(latency_us);
-                    latency_p99.push(latency_us);
-                    hit_window.push_bool(rec.hit);
-                    hops_window.push(hops_f);
-                    if let Some(v) = hit_window.value() {
-                        hit_sampler.observe(completed_f, v);
-                    }
-                    if let Some(v) = hops_window.value() {
-                        hops_sampler.observe(completed_f, v);
-                    }
-                    if let Some(occupancy) = occupancy.as_mut() {
-                        for (p, sampler) in occupancy.iter_mut().enumerate() {
-                            // Proxy p lives on shard p % N at local index p / N.
-                            let agent = &guards[p % shards_n].agents[p / shards_n];
-                            // cache sizes ≪ 2^53: exact
-                            sampler.observe(completed_f, agent.cached_objects() as f64);
-                        }
-                    }
-                    // Convergence: snapshot every agent's owner hint for
-                    // the hot set on the sampling schedule.
-                    if let Some(c) = conv.as_mut() {
-                        if completed.is_multiple_of(c.cfg.sample_every) {
-                            let mut hot: Vec<(u64, u64)> =
-                                c.counts.iter().map(|(&o, &n)| (o, n)).collect();
-                            hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                            hot.truncate(c.cfg.top_k);
-                            let snapshot: Vec<(u64, Vec<Option<u32>>)> = hot
-                                .iter()
-                                .map(|&(object, _)| {
-                                    let hints = (0..n_proxies)
-                                        .map(|p| {
-                                            // Proxy p: shard p % N, local p / N.
-                                            guards[p % shards_n].agents[p / shards_n]
-                                                .owner_hint(ObjectId::new(object))
-                                                .map(|o| o.raw())
-                                        })
-                                        .collect();
-                                    (object, hints)
-                                })
-                                .collect();
-                            c.tracker.sample(completed_f, &snapshot);
-                        }
-                    }
-                    // Occupancy-histogram sampling on the cluster-wide
-                    // cadence (the coordinator owns the completion
-                    // count; shard probes hold the gauges).
-                    if coord_probe.is_some() && completed.is_multiple_of(METRICS_CADENCE) {
-                        for shard in guards.iter_mut() {
-                            shard.probe.barrier_sample();
-                        }
-                    }
-                    // Sequential: the completed flow hands its slot to
-                    // the next workload request, injected at the
-                    // completion instant.
-                    if sequential && !workload_done {
-                        workload_done = !inject_next(
-                            SimTime::from_micros(rec.at),
-                            &mut guards,
-                            &mut workload,
-                            &net,
-                            n,
-                            assignment,
-                            &mut assign_rng,
-                            &mut conv,
-                            &mut coord_probe,
-                            &mut inj_times,
-                            &mut injected,
-                        );
-                    }
-                }
-                // Settle injections up to the fold horizon so the
-                // live-flow counter tracks time order even across
-                // completion-free windows.
-                while inj_times.front().is_some_and(|&t| t < fold_end) {
-                    inj_times.pop_front();
-                    live_flows += 1;
-                    peak_flows = peak_flows.max(live_flows);
-                }
-            }};
-        }
 
         // Prime the pump. Sequential injects the first request at t=0;
         // open-loop arrivals are generated window by window below.
         if sequential {
-            workload_done = !inject_next(
-                SimTime::ZERO,
-                &mut guards,
-                &mut workload,
-                &net,
-                n,
-                assignment,
-                &mut assign_rng,
-                &mut conv,
-                &mut coord_probe,
-                &mut inj_times,
-                &mut injected,
-            );
+            coord.inject(SimTime::ZERO, &mut guards);
         }
 
         loop {
@@ -1245,52 +1423,56 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             // arrival process; the plain next window is the
             // lookahead-aligned window containing it.
             let mut min_next = guards.iter().map(|s| s.next_at).min().unwrap_or(u64::MAX);
-            if interval_us > 0 && !workload_done {
+            if !sequential && !coord.workload_done {
                 min_next = min_next.min(next_inject_at + client_proxy_us);
             }
             if min_next == u64::MAX {
                 // Drained. Fold any deferred completions before leaving.
                 if fold_pending > 0 {
-                    fold_completions!(last_window_end);
+                    coord.fold(&mut guards, last_window_end);
                 }
                 break;
             }
-            let grid_end = (min_next / window_us) * window_us + window_us;
-
-            // Adaptive widening: when no shard can emit a cross-shard
-            // message before `grid_end`, jump the barrier to the
-            // lookahead-aligned window containing the earliest possible
-            // cross-shard send. Every such send is delivered a full
-            // lookahead later, i.e. at or after the widened barrier, so
-            // the jump never admits a delivery into the widened range
-            // (conservatism argument in DESIGN.md §6c).
-            let mut window_end = grid_end;
-            if widen {
-                let mut earliest_send = guards
-                    .iter()
-                    .map(|s| s.cross_send_bound(origin_reply_us))
-                    .min()
-                    .unwrap_or(u64::MAX);
-                if interval_us > 0 && !workload_done {
-                    // A future arrival is a fresh proxy-bound delivery.
-                    earliest_send = earliest_send.min(next_inject_at + client_proxy_us);
-                }
-                if earliest_send == u64::MAX {
-                    // Nothing left can ever cross shards: drain fully.
-                    window_end = u64::MAX;
-                } else {
-                    window_end = ((earliest_send / window_us) * window_us)
-                        .saturating_add(window_us)
-                        .max(grid_end);
-                }
-            }
             exec.windows_advanced += 1;
-            if window_end > grid_end {
-                exec.windows_widened += 1;
-                if window_end != u64::MAX {
-                    exec.windows_skipped += (window_end - grid_end) / window_us;
+            let window_end = if whole_flows {
+                u64::MAX
+            } else {
+                let grid_end = (min_next / window_us) * window_us + window_us;
+                // Adaptive widening: when no shard can emit a cross-shard
+                // message before `grid_end`, jump the barrier to the
+                // lookahead-aligned window containing the earliest
+                // possible cross-shard send. Every such send is delivered
+                // a full lookahead later, i.e. at or after the widened
+                // barrier, so the jump never admits a delivery into the
+                // widened range (conservatism argument in DESIGN.md §6c).
+                let mut window_end = grid_end;
+                if widen {
+                    let mut earliest_send = guards
+                        .iter()
+                        .map(|s| s.cross_send_bound(origin_reply_us))
+                        .min()
+                        .unwrap_or(u64::MAX);
+                    if !sequential && !coord.workload_done {
+                        // A future arrival is a fresh proxy-bound delivery.
+                        earliest_send = earliest_send.min(next_inject_at + client_proxy_us);
+                    }
+                    window_end = if earliest_send == u64::MAX {
+                        // Nothing left can ever cross shards: drain fully.
+                        u64::MAX
+                    } else {
+                        ((earliest_send / window_us) * window_us)
+                            .saturating_add(window_us)
+                            .max(grid_end)
+                    };
                 }
-            }
+                if window_end > grid_end {
+                    exec.windows_widened += 1;
+                    if window_end != u64::MAX {
+                        exec.windows_skipped += (window_end - grid_end) / window_us;
+                    }
+                }
+                window_end
+            };
 
             // Open-loop: generate every arrival whose *arrival time*
             // precedes this barrier. Arrivals whose first delivery
@@ -1302,25 +1484,10 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             // interleave pure global time order, independent of
             // barrier placement (fold batching, widening, shard
             // count).
-            if interval_us > 0 {
-                while !workload_done && next_inject_at < window_end {
-                    if inject_next(
-                        SimTime::from_micros(next_inject_at),
-                        &mut guards,
-                        &mut workload,
-                        &net,
-                        n,
-                        assignment,
-                        &mut assign_rng,
-                        &mut conv,
-                        &mut coord_probe,
-                        &mut inj_times,
-                        &mut injected,
-                    ) {
-                        next_inject_at += interval_us;
-                    } else {
-                        workload_done = true;
-                    }
+            if !sequential {
+                while !coord.workload_done && next_inject_at < window_end {
+                    coord.inject(SimTime::from_micros(next_inject_at), &mut guards);
+                    next_inject_at += interval_us;
                 }
             }
 
@@ -1411,11 +1578,8 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                     let mut routed = std::mem::take(&mut guards[src].outboxes[dst]);
                     for r in routed.drain(..) {
                         debug_assert!(r.at >= window_end, "lookahead violated at the barrier");
-                        let id = r.ev.message.request_id();
                         // dst ranges over the shard count.
-                        let shard = &mut *guards[dst];
-                        shard.enqueue(r.at, r.key, r.ev);
-                        shard.flows.insert(id, r.meta);
+                        guards[dst].enqueue(r.at, r.key, r.ev, r.meta);
                     }
                     // src/dst range over the shard count, as above.
                     guards[src].outboxes[dst] = routed;
@@ -1425,7 +1589,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             last_window_end = window_end;
             fold_pending += 1;
             if fold_pending >= fold_every {
-                fold_completions!(window_end);
+                coord.fold(&mut guards, window_end);
                 fold_pending = 0;
             }
         }
@@ -1486,13 +1650,12 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             .sort_unstable_by_key(|s| (s.start_us, s.lane));
         profile
     });
-    // The single-queue runner pops one Inject event per open-loop
-    // arrival plus the final exhausted pull; synthesize those so
-    // events_processed reconciles across executors.
-    let events_processed = if interval_us > 0 {
-        counters.events_processed + injected + 1
+    // Open loop counts one injection event per arrival plus the final
+    // exhausted pull next to the deliveries.
+    let events_processed = if sequential {
+        counters.messages_delivered
     } else {
-        counters.events_processed
+        counters.messages_delivered + coord.injected + 1
     };
 
     // Collect per-proxy outputs in id order via the round-robin layout.
@@ -1506,18 +1669,19 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
         .collect();
 
     let report = SimReport {
-        completed,
-        hits,
-        phases,
-        hops: hops_summary,
-        latency_us: latency_summary,
-        latency_p50_us: latency_p50.value().unwrap_or(0.0),
-        latency_p99_us: latency_p99.value().unwrap_or(0.0),
-        hit_series: hit_sampler.into_series(),
-        hops_series: hops_sampler.into_series(),
+        completed: coord.completed,
+        hits: coord.hits,
+        phases: coord.phases,
+        hops: coord.hops,
+        latency_us: coord.latency,
+        latency_p50_us: coord.latency_p50.value().unwrap_or(0.0),
+        latency_p99_us: coord.latency_p99.value().unwrap_or(0.0),
+        hit_series: coord.hit_sampler.into_series(),
+        hops_series: coord.hops_sampler.into_series(),
         per_proxy,
         final_cache_sizes,
-        occupancy_series: occupancy
+        occupancy_series: coord
+            .occupancy
             .map(|samplers| {
                 samplers
                     .into_iter()
@@ -1532,15 +1696,16 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             .unwrap_or_default(),
         messages_delivered: counters.messages_delivered,
         events_processed,
-        peak_flows,
-        duplicates_injected: 0,
+        peak_flows: coord.peak_flows,
+        duplicates_injected: counters.duplicates_injected,
         client_orphans: counters.client_orphans,
         orphan_origin_requests: counters.orphan_origin_requests,
-        proxies_reset: 0,
+        proxies_reset: coord.proxies_reset,
         bytes_from_origin: counters.bytes_from_origin,
         bytes_from_caches: counters.bytes_from_caches,
-        trace: None,
-        convergence: conv.map(|c| c.tracker.into_report()),
+        // Tracing runs on one shard only (see validate()).
+        trace: shards.iter_mut().find_map(|s| s.trace.take()),
+        convergence: coord.conv.map(|c| c.tracker.into_report()),
         metrics: None,
         shard_exec: Some(exec),
         spans: None,
@@ -1550,15 +1715,12 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     };
 
     // Tear the shards down: agents back into proxy-id order, registries
-    // folded through the exact merge (coordinator first, then shards in
-    // index order — merge is commutative, the order is cosmetic).
+    // folded through the exact merge.
     let mut agent_iters: Vec<std::vec::IntoIter<A>> = Vec::with_capacity(shards_n);
     let mut registries: Vec<Registry> = Vec::new();
     for shard in shards {
         agent_iters.push(shard.agents.into_iter());
-        if let Some(reg) = shard.probe.into_registry() {
-            registries.push(reg);
-        }
+        registries.extend(shard.probe.into_registry());
     }
     let agents: Vec<A> = (0..n_proxies)
         .map(|p| {
@@ -1571,13 +1733,9 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             }
         })
         .collect();
-    let merged_registry = coord_probe.map(|probe| {
-        let mut merged = probe.into_registry();
-        merged.merge(&Registry::merge_all(registries.iter()));
-        merged
-    });
+    let registry = (!registries.is_empty()).then(|| Registry::merge_all(registries.iter()));
 
-    (report, agents, merged_registry)
+    (report, agents, registry)
 }
 
 #[cfg(test)]
@@ -1628,22 +1786,22 @@ mod tests {
     #[test]
     fn sequential_sharded_matches_single_threaded_exactly() {
         let workload = || StationaryZipf::new(120, 0.9, 6, 7).take(2_500);
-        let legacy = Simulation::new(adc_agents(3), config()).run(workload());
+        let one = Simulation::new(adc_agents(3), config()).run(workload());
         for shards in [1, 2, 3, 5] {
             let sharded = Simulation::new(adc_agents(3), config()).run_sharded(workload(), shards);
-            assert_eq!(legacy.completed, sharded.completed, "shards={shards}");
-            assert_eq!(legacy.hits, sharded.hits, "shards={shards}");
+            assert_eq!(one.completed, sharded.completed, "shards={shards}");
+            assert_eq!(one.hits, sharded.hits, "shards={shards}");
             assert_eq!(
-                legacy.messages_delivered, sharded.messages_delivered,
+                one.messages_delivered, sharded.messages_delivered,
                 "shards={shards}"
             );
             assert_eq!(
-                legacy.events_processed, sharded.events_processed,
+                one.events_processed, sharded.events_processed,
                 "shards={shards}"
             );
-            assert_eq!(legacy.hit_series, sharded.hit_series, "shards={shards}");
-            assert_eq!(legacy.peak_flows, sharded.peak_flows, "shards={shards}");
-            assert_eq!(legacy.per_proxy, sharded.per_proxy, "shards={shards}");
+            assert_eq!(one.hit_series, sharded.hit_series, "shards={shards}");
+            assert_eq!(one.peak_flows, sharded.peak_flows, "shards={shards}");
+            assert_eq!(one.per_proxy, sharded.per_proxy, "shards={shards}");
         }
     }
 
@@ -1790,7 +1948,7 @@ mod tests {
             "{exec_on:?} vs {exec_off:?}"
         );
         assert_eq!(on.to_deterministic_json(), off.to_deterministic_json());
-        // Open loop with state sampling active must hold the legacy
+        // Open loop with state sampling active must hold the plain
         // barrier grid (widening auto-disabled), even when requested.
         let mut sampled = config();
         sampled.sample_occupancy = true;
@@ -1878,7 +2036,7 @@ mod tests {
         };
         let report = Simulation::new(adc_agents(2), c).run_sharded(std::iter::empty(), 2);
         assert_eq!(report.completed, 0);
-        // The single-queue runner pops exactly one (exhausted) Inject.
+        // Open loop counts the final exhausted pull as an event.
         assert_eq!(report.events_processed, 1);
     }
 }

@@ -11,9 +11,8 @@
 //!    cross-shard message is ever delivered before the barrier that
 //!    routed it (the lookahead property).
 //! 2. **Whole-simulator differentials** over randomized small
-//!    configurations: sequential sharded runs must equal the
-//!    single-threaded runner byte-for-byte, and open-loop runs must be
-//!    invariant in the shard count.
+//!    configurations: sequential and open-loop runs must be invariant in
+//!    the shard count, byte for byte.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -370,9 +369,9 @@ fn sim_agents(proxies: u32) -> Vec<AdcProxy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Sequential injection: the sharded executor reproduces the
-    /// single-threaded runner byte-for-byte on randomized populations,
-    /// workloads and shard counts.
+    /// Sequential injection: `run_sharded` reproduces `Simulation::run`
+    /// (one shard) byte-for-byte on randomized populations, workloads and
+    /// shard counts.
     #[test]
     fn random_sequential_runs_match_the_single_threaded_runner(
         proxies in 1u32..6,
@@ -381,12 +380,12 @@ proptest! {
         shards in 2usize..6,
     ) {
         let workload = || StationaryZipf::new(60, 0.8, 4, seed).take(requests);
-        let legacy = Simulation::new(sim_agents(proxies), SimConfig::default())
+        let one = Simulation::new(sim_agents(proxies), SimConfig::default())
             .run(workload());
         let sharded = Simulation::new(sim_agents(proxies), SimConfig::default())
             .run_sharded(workload(), shards);
         prop_assert_eq!(
-            legacy.to_deterministic_json(),
+            one.to_deterministic_json(),
             sharded.to_deterministic_json()
         );
     }
@@ -431,7 +430,7 @@ proptest! {
         pool in 0usize..3,
     ) {
         use adc_sim::ShardTuning;
-        // Occupancy sampling pins the legacy barrier cadence (see the
+        // Occupancy sampling pins the per-barrier fold cadence (see the
         // gating table in sharded.rs); disable it so widening and
         // batched folds genuinely engage.
         let mut config = SimConfig {

@@ -1,16 +1,15 @@
 //! Differential determinism harness for the sharded executor.
 //!
-//! Runs Figure-11-scale workloads through the single-threaded runner and
-//! through `run_sharded` at several shard counts — including a
-//! non-power-of-two count, a count that does not divide the proxy count,
-//! and a count exceeding it — and demands *byte identity* of the
-//! canonical report JSON, the Prometheus metrics exposition, and the
-//! convergence series. Sequential injection must match the
-//! single-threaded runner exactly; open-loop injection must be invariant
-//! in the shard count.
+//! Runs Figure-11-scale workloads through `Simulation::run` (the executor
+//! at one shard) and through `run_sharded` at several shard counts —
+//! including a non-power-of-two count, a count that does not divide the
+//! proxy count, and a count exceeding it — and demands *byte identity* of
+//! the canonical report JSON, the Prometheus metrics exposition, and the
+//! convergence series, in both injection modes and under churn. Faults
+//! and tracing run at one shard only and must be rejected above it.
 
 use adc_core::{AdcConfig, AdcProxy, CacheAgent, ProxyId};
-use adc_sim::{ConvergenceConfig, InjectionMode, SimConfig, SimTime, Simulation};
+use adc_sim::{ChurnEvent, ConvergenceConfig, InjectionMode, SimConfig, SimTime, Simulation};
 use adc_workload::PolygraphConfig;
 
 /// Five proxies: 2 and 4 do not divide it, 7 exceeds it, so the suite
@@ -65,7 +64,7 @@ fn sequential_report_is_byte_identical_to_single_threaded() {
         assert_eq!(
             reference_json,
             report.to_deterministic_json(),
-            "shards={shards} diverged from the single-threaded runner"
+            "shards={shards} diverged from Simulation::run"
         );
         // The JSON covers these, but keep first-class failures readable.
         assert_eq!(
@@ -145,8 +144,7 @@ fn forced_pool_and_tuning_stay_byte_identical_at_figure_scale() {
     // The synchronization layer (persistent pool, widening, batched
     // folds) is pure execution strategy: force an aggressive tuning —
     // real worker threads even on a single-core runner, a small fold
-    // batch — and demand byte identity with the single-threaded runner
-    // in sequential mode and with shards=1 in open-loop mode.
+    // batch — and demand byte identity with the untuned one-shard run.
     use adc_sim::ShardTuning;
     let tuned = ShardTuning {
         pool_threads: Some(3),
@@ -230,4 +228,73 @@ fn open_loop_report_is_invariant_in_the_shard_count() {
             "shards={shards} open-loop metrics exposition diverged"
         );
     }
+}
+
+#[test]
+fn sequential_churn_is_invariant_in_the_shard_count() {
+    // Restarts fire in the completion fold, which sees the same agent
+    // state at every shard count.
+    let mut churned = config();
+    churned.churn = [(3_000, 0), (3_500, 3), (5_500, 1)]
+        .iter()
+        .map(|&(after_completed, proxy)| ChurnEvent {
+            after_completed,
+            proxy: ProxyId::new(proxy),
+        })
+        .collect();
+    let run = |shards| Simulation::new(agents(), churned.clone()).run_sharded(workload(), shards);
+    let reference = run(1);
+    assert_eq!(reference.proxies_reset, 3);
+    let plain = Simulation::new(agents(), config()).run(workload());
+    assert_ne!(
+        plain.hits, reference.hits,
+        "the restarts must change the run for this test to bite"
+    );
+    for shards in [2, 4] {
+        assert_eq!(
+            reference.to_deterministic_json(),
+            run(shards).to_deterministic_json(),
+            "shards={shards} churn run diverged from shards=1"
+        );
+    }
+}
+
+/// The panic message of `f`, if it panicked.
+fn panic_message(f: impl FnOnce()) -> Option<String> {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| (*s).to_string()))
+}
+
+#[test]
+fn faults_and_tracing_run_at_one_shard_and_are_rejected_above() {
+    let mut faulty = config();
+    faulty.faults.duplicate_prob = 0.05;
+    let mut traced = config();
+    traced.trace_capacity = 1_000;
+    for (cfg, rejection) in [
+        (&faulty, "does not support fault injection"),
+        (&traced, "does not support delivery tracing"),
+    ] {
+        let one = Simulation::new(agents(), cfg.clone()).run_sharded(workload(), 1);
+        assert_eq!(
+            one.completed,
+            PolygraphConfig::scaled(0.002).total_requests()
+        );
+        let message = panic_message(|| {
+            let _ = Simulation::new(agents(), cfg.clone()).run_sharded(workload(), 2);
+        });
+        assert!(
+            message.as_deref().is_some_and(|m| m.contains(rejection)),
+            "shards=2 must panic with {rejection:?}, got {message:?}"
+        );
+    }
+    let dup = Simulation::new(agents(), faulty).run(workload());
+    assert!(
+        dup.duplicates_injected > 0,
+        "duplicates must fire at one shard"
+    );
+    let log = Simulation::new(agents(), traced).run(workload());
+    assert_eq!(log.trace.as_ref().map(|t| t.records().len()), Some(1_000));
 }

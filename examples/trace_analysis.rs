@@ -15,7 +15,8 @@ use adc::workload::trace::{read_trace, write_trace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = PolygraphConfig::scaled(0.005); // ~20k requests
-    let path = std::env::temp_dir().join("adc_polygraph_trace.csv");
+    let pid = std::process::id(); // concurrent runs get their own file
+    let path = std::env::temp_dir().join(format!("adc_polygraph_trace_{pid}.csv"));
 
     println!(
         "generating {} requests and writing {}...",
