@@ -130,15 +130,12 @@ impl<T> CalendarQueue<T> {
     /// amortised O(1) cursor walk is shared, so `peek_key` followed by
     /// `pop` re-scans only the (O(1)-occupancy) current bucket.
     pub fn peek_key(&mut self) -> Option<(u64, u64)> {
-        let (b, i) = self.locate()?;
-        // locate() returns the coordinates of a live item.
-        let item = &self.buckets[b][i];
-        Some((item.at, item.seq))
+        self.locate().map(|(_, _, at, seq)| (at, seq))
     }
 
     /// Removes and returns the minimum `(at, seq)` item.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        let (b, i) = self.locate()?;
+        let (b, i, _, _) = self.locate()?;
         Some(self.take(b, i))
     }
 
@@ -146,15 +143,16 @@ impl<T> CalendarQueue<T> {
     /// scheduled before `end`; otherwise leaves the queue untouched. The
     /// executor drains a synchronization window `[.., end)` with it in
     /// one scan per event.
+    #[inline]
     pub fn pop_before(&mut self, end: u64) -> Option<(u64, u64, T)> {
-        let (b, i) = self.locate()?;
-        // locate() returns the coordinates of a live item.
-        (self.buckets[b][i].at < end).then(|| self.take(b, i))
+        let (b, i, at, _) = self.locate()?;
+        (at < end).then(|| self.take(b, i))
     }
 
     /// Finds the minimum `(at, seq)` item, moving the window to it, and
-    /// returns its `(bucket, index)`.
-    fn locate(&mut self) -> Option<(usize, usize)> {
+    /// returns its `(bucket, index, at, seq)`.
+    #[inline]
+    fn locate(&mut self) -> Option<(usize, usize, u64, u64)> {
         if self.len == 0 {
             return None;
         }
@@ -170,8 +168,8 @@ impl<T> CalendarQueue<T> {
                     best = Some((i, item.at, item.seq));
                 }
             }
-            if let Some((i, _, _)) = best {
-                return Some((self.cursor, i));
+            if let Some((i, at, seq)) = best {
+                return Some((self.cursor, i, at, seq));
             }
             // mask fits usize: it is derived from buckets.len() - 1.
             self.cursor = (self.cursor + 1) & self.mask as usize;
@@ -180,7 +178,7 @@ impl<T> CalendarQueue<T> {
         // A full lap of empty windows: the next item is more than a year
         // ahead. Fall back to a direct scan for the global minimum and
         // jump the window to it.
-        let (b, i, at) = self
+        let (b, i, at, seq) = self
             .buckets
             .iter()
             .enumerate()
@@ -191,13 +189,12 @@ impl<T> CalendarQueue<T> {
                     .map(move |(i, item)| (b, i, item.at, item.seq))
             })
             .min_by_key(|&(_, _, at, seq)| (at, seq))
-            .map(|(b, i, at, _)| (b, i, at))
             // Invariant: len > 0 was checked on entry, so some bucket
             // holds an item. adc-lint: allow(panic)
             .expect("len > 0 but no item found");
         self.cursor = self.bucket_of(at);
         self.bucket_top = ((at >> self.shift) + 1) << self.shift;
-        Some((b, i))
+        Some((b, i, at, seq))
     }
 
     fn take(&mut self, bucket: usize, index: usize) -> (u64, u64, T) {

@@ -203,6 +203,7 @@ struct Net {
 }
 
 impl Net {
+    #[inline]
     fn latency(&self, from: NodeId, to: NodeId) -> SimTime {
         if let (Some(m), NodeId::Proxy(a), NodeId::Proxy(b)) = (&self.matrix, from, to) {
             if a != b {
@@ -216,6 +217,7 @@ impl Net {
     /// The shard owning proxy `p` and the proxy's index among that
     /// shard's agents: round-robin, shard `p % N` at local `p / N`. One
     /// shard skips the divisions, which sit on the per-event path.
+    #[inline]
     fn place(&self, p: usize) -> (usize, usize) {
         if self.shards == 1 {
             (0, p)
@@ -488,12 +490,14 @@ impl EventQueue {
         }
     }
 
+    #[inline]
     fn push(&mut self, at: u64, key: u64, ev: ShardEvent) {
         // class() is below the array length.
         self.pending[Self::class(ev.to)] += 1;
         self.events.push(at, key, ev);
     }
 
+    #[inline]
     fn pop_before(&mut self, end: u64) -> Option<(u64, u64, ShardEvent)> {
         let popped = self.events.pop_before(end)?;
         // class() is below the array length.
