@@ -14,6 +14,7 @@
 
 use crate::index::{FnItem, WorkspaceIndex};
 use crate::lex::{Tok, TokKind};
+use crate::scan::SourceFile;
 use std::collections::BTreeMap;
 
 /// A resolved call edge, kept with the site that produced it so
@@ -44,15 +45,10 @@ const NON_CALL_KEYWORDS: &[&str] = &[
 ];
 
 impl<'a> CallGraph<'a> {
-    /// Builds the graph. `lexed[i]` is the token stream of scanned file
-    /// `i`; `crate_of(i)` names its crate; `resolvable` limits callee
-    /// candidates to the crates a reachability rule cares about.
-    pub fn build(
-        index: &'a WorkspaceIndex,
-        lexed: &[Vec<Tok>],
-        crate_of: &dyn Fn(usize) -> String,
-        resolvable: &[&str],
-    ) -> Self {
+    /// Builds the graph. `index` was built over `files`; `resolvable`
+    /// limits callee candidates to the crates a reachability rule cares
+    /// about.
+    pub fn build(index: &'a WorkspaceIndex, files: &[SourceFile], resolvable: &[&str]) -> Self {
         let mut fns: Vec<&FnItem> = Vec::new();
         for file in &index.files {
             for f in &file.fns {
@@ -64,7 +60,7 @@ impl<'a> CallGraph<'a> {
         let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut free_fns: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
-            if !resolvable.contains(&crate_of(f.file).as_str()) {
+            if !resolvable.contains(&files[f.file].krate.as_str()) {
                 continue;
             }
             if f.qual.is_some() {
@@ -76,14 +72,16 @@ impl<'a> CallGraph<'a> {
 
         let mut edges: Vec<Vec<CallEdge>> = vec![Vec::new(); fns.len()];
         for (i, f) in fns.iter().enumerate() {
-            let Some((from, to)) = f.body else {
+            let Some(body) = f.body else {
                 continue;
             };
-            let toks = &lexed[f.file];
             let imports = &index.files[f.file].uses;
-            let body = &toks[from.min(toks.len())..to.min(toks.len())];
             // Work over the comment-filtered view of the body.
-            let view: Vec<&Tok> = body.iter().filter(|t| t.kind != TokKind::Comment).collect();
+            let view: Vec<&Tok> = files[f.file]
+                .toks_in(body)
+                .iter()
+                .filter(|t| t.kind != TokKind::Comment)
+                .collect();
             for k in 0..view.len() {
                 let t = view[k];
                 if t.kind != TokKind::Ident || NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
@@ -118,18 +116,18 @@ impl<'a> CallGraph<'a> {
                             &free_fns,
                             imports,
                             &fns,
-                            crate_of,
+                            files,
                         )
                     }
                     _ => {
                         // Bare call: free fns with this name, preferring
                         // the caller's own crate when it defines one.
                         let all = free_fns.get(name).cloned().unwrap_or_default();
-                        let own_crate = crate_of(f.file);
+                        let own_crate = &files[f.file].krate;
                         let local: Vec<usize> = all
                             .iter()
                             .copied()
-                            .filter(|&c| crate_of(fns[c].file) == own_crate)
+                            .filter(|&c| files[fns[c].file].krate == *own_crate)
                             .collect();
                         if local.is_empty() {
                             all
@@ -185,7 +183,7 @@ fn resolve_qualified(
     free_fns: &BTreeMap<&str, Vec<usize>>,
     imports: &[crate::index::UseImport],
     fns: &[&FnItem],
-    crate_of: &dyn Fn(usize) -> String,
+    files: &[SourceFile],
 ) -> Vec<usize> {
     let mut all: Vec<usize> = methods.get(name).cloned().unwrap_or_default();
     all.extend(free_fns.get(name).cloned().unwrap_or_default());
@@ -219,7 +217,7 @@ fn resolve_qualified(
             let narrowed: Vec<usize> = candidates
                 .iter()
                 .copied()
-                .filter(|&c| crate_of(fns[c].file) == root)
+                .filter(|&c| files[fns[c].file].krate == root)
                 .collect();
             if !narrowed.is_empty() {
                 candidates = narrowed;
@@ -233,18 +231,19 @@ fn resolve_qualified(
 mod tests {
     use super::*;
     use crate::index::WorkspaceIndex;
-    use crate::lex::lex;
+    use crate::scan::parse_source;
 
-    fn graph(texts: &[&str]) -> (Vec<Vec<Tok>>, Vec<String>) {
-        let lexed: Vec<Vec<Tok>> = texts.iter().map(|t| lex(t)).collect();
-        (lexed, vec!["adc-sim".to_string(); texts.len()])
+    fn files(texts: &[&str]) -> Vec<SourceFile> {
+        texts
+            .iter()
+            .map(|t| parse_source("crates/adc-sim/src/lib.rs", "adc-sim", true, t))
+            .collect()
     }
 
     fn names_reached(texts: &[&str], root_name: &str) -> Vec<String> {
-        let (lexed, crates) = graph(texts);
-        let index = WorkspaceIndex::build(&lexed, &|_, _| false);
-        let crate_of = |i: usize| crates[i].clone();
-        let g = CallGraph::build(&index, &lexed, &crate_of, &["adc-sim"]);
+        let files = files(texts);
+        let index = WorkspaceIndex::build(&files);
+        let g = CallGraph::build(&index, &files, &["adc-sim"]);
         let roots: Vec<usize> = g
             .fns
             .iter()
@@ -305,10 +304,9 @@ mod tests {
 
     #[test]
     fn reach_reports_parent_chain() {
-        let (lexed, crates) = graph(&["fn a() { b(); }\nfn b() { c(); }\nfn c() {}"]);
-        let index = WorkspaceIndex::build(&lexed, &|_, _| false);
-        let crate_of = |i: usize| crates[i].clone();
-        let g = CallGraph::build(&index, &lexed, &crate_of, &["adc-sim"]);
+        let files = files(&["fn a() { b(); }\nfn b() { c(); }\nfn c() {}"]);
+        let index = WorkspaceIndex::build(&files);
+        let g = CallGraph::build(&index, &files, &["adc-sim"]);
         let a = g.fns.iter().position(|f| f.name == "a").unwrap();
         let c = g.fns.iter().position(|f| f.name == "c").unwrap();
         let seen = g.reach(&[a]);

@@ -1,8 +1,10 @@
 //! A hand-rolled Rust lexer producing a flat token stream with byte
 //! spans and line numbers.
 //!
-//! This is the token layer the symbol index and call graph build on. It
-//! understands exactly as much Rust as the workspace's rules need:
+//! This is the linter's one source model: `scan::parse_source` lexes
+//! each file once, derives the per-line views the line rules read from
+//! these tokens, and keeps the stream for the symbol index, the call
+//! graph and the token-level rules. It understands exactly as much Rust as the workspace's rules need:
 //! nested block comments, normal/byte/raw string literals, char
 //! literals vs lifetimes (`'a'` vs `'a`), numeric literals, identifiers
 //! and keywords (not distinguished here), and punctuation — with `::`,
@@ -10,8 +12,8 @@
 //! them. It is *not* a conformant Rust lexer: float forms like `1e9`
 //! lex as one `Num` token only by accident of the alphanumeric run, and
 //! exotic literals (C strings, raw identifiers) are out of scope. Every
-//! token carries its exact byte span in the input, so the differential
-//! tests can check the classification against the v1 line scanner.
+//! token carries its exact byte span in the input, which is how the
+//! line views cut each physical line out of the stream.
 
 /// Token classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

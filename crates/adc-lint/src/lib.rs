@@ -103,7 +103,8 @@ pub struct Report {
     pub rule_stats: Vec<RuleStat>,
     /// Unused well-formed suppressions, for `--fix`.
     pub stale_allows: Vec<StaleAllow>,
-    /// Wall time spent lexing and indexing (shared by semantic rules).
+    /// Wall time spent building the symbol index (shared by semantic
+    /// rules; lexing happens once per file during the scan).
     pub engine_nanos: u128,
     /// Wall time for the whole run (scan excluded, rules included).
     pub total_nanos: u128,
@@ -143,14 +144,7 @@ struct Suppression {
 
 /// Scans the workspace under `root` and runs every rule.
 pub fn run(root: &Path) -> std::io::Result<Report> {
-    let files = scan::scan_workspace(root)?;
-    // The lint does not lint itself: its sources quote suppression
-    // syntax in docs and fixtures, and no rule scopes it anyway.
-    let files: Vec<SourceFile> = files
-        .into_iter()
-        .filter(|f| f.krate != "adc-lint")
-        .collect();
-    Ok(run_files(&files))
+    Ok(run_files(&scan::scan_workspace(root)?))
 }
 
 /// Runs every rule over an already-scanned file set. Public so the
@@ -163,14 +157,12 @@ pub fn run_files(files: &[SourceFile]) -> Report {
         collect_suppressions(file, &mut suppressions, &mut parse_errors);
     }
 
-    // Token/symbol layer, built once and shared by the semantic rules.
+    // Symbol layer, built once and shared by the semantic rules.
     let t_engine = Instant::now();
-    let lexed = rules::SemanticCtx::lex_files(files);
-    let index = rules::SemanticCtx::build_index(files, &lexed);
+    let index = index::WorkspaceIndex::build(files);
     let engine_nanos = t_engine.elapsed().as_nanos();
     let ctx = rules::SemanticCtx {
         files,
-        lexed: &lexed,
         index: &index,
     };
 

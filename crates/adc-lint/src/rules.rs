@@ -13,7 +13,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::index::WorkspaceIndex;
-use crate::lex::{lex, Tok, TokKind};
+use crate::lex::{Tok, TokKind};
 use crate::scan::{SourceFile, SourceLine};
 use crate::{Finding, Severity};
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,7 +52,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "index-comment",
         severity: Severity::Warning,
         summary: "slice/array indexing without a nearby justification comment",
-        scope: "adc-core plus adc-sim hot path (queue.rs, flows.rs, runner.rs)",
+        scope: "adc-core plus adc-sim hot path (queue.rs, flows.rs, runner.rs, sharded.rs)",
     },
     RuleInfo {
         id: "float-eq",
@@ -64,7 +64,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "lossy-cast",
         severity: Severity::Warning,
         summary: "potentially lossy `as` cast without a nearby justification comment",
-        scope: "adc-sim hot path only (queue.rs, flows.rs, runner.rs)",
+        scope: "adc-sim hot path only (queue.rs, flows.rs, runner.rs, sharded.rs)",
     },
     RuleInfo {
         id: "obs-coverage",
@@ -222,45 +222,11 @@ pub fn check_file(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Cross-file context the semantic rules share: the scanned files, the
-/// token stream of each, and the symbol index over them.
+/// Cross-file context the semantic rules share: the scanned files
+/// (each carrying its own token stream) and the symbol index over them.
 pub struct SemanticCtx<'a> {
     pub files: &'a [SourceFile],
-    pub lexed: &'a [Vec<Tok>],
     pub index: &'a WorkspaceIndex,
-}
-
-impl<'a> SemanticCtx<'a> {
-    /// Lexes every scanned file (from the per-line raw text the scanner
-    /// kept, so in-memory fixtures work identically to disk files).
-    pub fn lex_files(files: &[SourceFile]) -> Vec<Vec<Tok>> {
-        files
-            .iter()
-            .map(|f| {
-                let text: Vec<&str> = f.lines.iter().map(|l| l.raw.as_str()).collect();
-                lex(&text.join("\n"))
-            })
-            .collect()
-    }
-
-    /// Builds the symbol index for the lexed set.
-    pub fn build_index(files: &[SourceFile], lexed: &[Vec<Tok>]) -> WorkspaceIndex {
-        WorkspaceIndex::build(lexed, &|fi, line| is_test_line(&files[fi], line))
-    }
-
-    fn in_test(&self, fi: usize, line: usize) -> bool {
-        is_test_line(&self.files[fi], line)
-    }
-}
-
-/// Whether a 1-based line of `file` is test-only: inside a
-/// `#[cfg(test)]` region, or anywhere in an integration-test file.
-fn is_test_line(file: &SourceFile, line: usize) -> bool {
-    file.rel.contains("/tests/")
-        || file
-            .lines
-            .get(line.saturating_sub(1))
-            .is_some_and(|l| l.in_test)
 }
 
 /// Comment-stripped view of a token slice.
@@ -312,27 +278,33 @@ fn contains_token(code: &str, tok: &str) -> bool {
     false
 }
 
+/// Wall-clock, OS-entropy, environment and hasher-state sinks, as
+/// `(path, what)` with `::`-separated path segments. `determinism`
+/// rejects them on any non-test line of the deterministic crates;
+/// `determinism-purity` rejects them in any fn the hot path reaches.
+const IMPURE_SINKS: &[(&str, &str)] = &[
+    ("SystemTime", "wall-clock read"),
+    ("Instant::now", "wall-clock read"),
+    ("clock_gettime", "OS clock read"),
+    ("thread_rng", "OS-seeded RNG"),
+    ("from_entropy", "OS-seeded RNG"),
+    ("env::var", "environment read"),
+    ("env::var_os", "environment read"),
+    ("env::args", "environment read"),
+    ("RandomState", "randomized hasher state"),
+];
+
 fn determinism(file: &SourceFile, out: &mut Vec<Finding>) {
     if !in_scope(file, DETERMINISTIC_CRATES) {
         return;
     }
-    const TOKENS: &[(&str, &str)] = &[
-        ("SystemTime", "wall-clock read"),
-        ("time::Instant", "wall-clock type"),
-        ("Instant::now", "wall-clock read"),
-        ("clock_gettime", "OS clock read"),
-        ("thread_rng", "OS-seeded RNG"),
-        ("from_entropy", "OS-seeded RNG"),
-        ("env::var", "environment read"),
-        ("env::var_os", "environment read"),
-        ("env::args", "environment read"),
-        ("RandomState", "randomized hasher state"),
-    ];
+    // Naming the clock type is flagged here only; purity follows reads.
+    const TYPE_TOKENS: &[(&str, &str)] = &[("time::Instant", "wall-clock type")];
     for (i, line) in file.lines.iter().enumerate() {
         if line.in_test {
             continue;
         }
-        for (tok, what) in TOKENS {
+        for (tok, what) in TYPE_TOKENS.iter().chain(IMPURE_SINKS) {
             if contains_token(&line.code, tok) {
                 push(
                     out,
@@ -824,66 +796,34 @@ const PURITY_CRATES: &[&str] = &[
     "adc-metrics",
 ];
 
-/// A sink pattern: consecutive non-comment tokens, where `::` matches
-/// the path separator and everything else an exact identifier.
-const PURITY_SINKS: &[(&[&str], &str)] = &[
-    (
-        &["Instant", "::", "now"],
-        "wall-clock read (`Instant::now`)",
-    ),
-    (&["SystemTime"], "wall-clock read (`SystemTime`)"),
-    (&["clock_gettime"], "OS clock read (`clock_gettime`)"),
-    (&["thread_rng"], "OS-seeded RNG (`thread_rng`)"),
-    (&["from_entropy"], "OS-seeded RNG (`from_entropy`)"),
-    (&["RandomState"], "randomized hasher state (`RandomState`)"),
-    (&["env", "::", "var"], "environment read (`env::var`)"),
-    (&["env", "::", "var_os"], "environment read (`env::var_os`)"),
-    (&["env", "::", "args"], "environment read (`env::args`)"),
-    (
-        &["HashMap", "::", "new"],
-        "default-hasher map (`HashMap::new`)",
-    ),
-    (
-        &["HashMap", "::", "with_capacity"],
-        "default-hasher map (`HashMap::with_capacity`)",
-    ),
-    (
-        &["HashMap", "::", "default"],
-        "default-hasher map (`HashMap::default`)",
-    ),
-    (
-        &["HashSet", "::", "new"],
-        "default-hasher set (`HashSet::new`)",
-    ),
-    (
-        &["HashSet", "::", "with_capacity"],
-        "default-hasher set (`HashSet::with_capacity`)",
-    ),
-    (
-        &["HashSet", "::", "default"],
-        "default-hasher set (`HashSet::default`)",
-    ),
+/// Sinks only `determinism-purity` checks (`default-hasher` already
+/// flags every `HashMap`/`HashSet` line in the deterministic crates).
+const HASHER_SINKS: &[(&str, &str)] = &[
+    ("HashMap::new", "default-hasher map"),
+    ("HashMap::with_capacity", "default-hasher map"),
+    ("HashMap::default", "default-hasher map"),
+    ("HashSet::new", "default-hasher set"),
+    ("HashSet::with_capacity", "default-hasher set"),
+    ("HashSet::default", "default-hasher set"),
 ];
 
-/// Matches one sink pattern at position `k` of a code view.
-fn sink_at<'v>(view: &[&'v Tok], k: usize) -> Option<(&'v Tok, &'static str)> {
-    'pattern: for (pat, what) in PURITY_SINKS {
-        for (off, want) in pat.iter().enumerate() {
-            let Some(t) = view.get(k + off) else {
-                continue 'pattern;
-            };
-            let ok = if *want == "::" {
-                t.kind == TokKind::Punct && t.text == "::"
-            } else {
-                t.kind == TokKind::Ident && t.text == *want
-            };
-            if !ok {
-                continue 'pattern;
-            }
-        }
-        return Some((view[k], what));
-    }
-    None
+/// Matches a sink path at position `k` of a code view: its segments as
+/// exact identifiers, joined by `::` tokens.
+fn sink_at<'v>(view: &[&'v Tok], k: usize) -> Option<(&'v Tok, &'static str, &'static str)> {
+    let is = |j: usize, kind: TokKind, text: &str| {
+        view.get(j)
+            .is_some_and(|t| t.kind == kind && t.text == text)
+    };
+    IMPURE_SINKS
+        .iter()
+        .chain(HASHER_SINKS)
+        .find(|(path, _)| {
+            path.split("::").enumerate().all(|(n, seg)| {
+                is(k + 2 * n, TokKind::Ident, seg)
+                    && (n == 0 || is(k + 2 * n - 1, TokKind::Punct, "::"))
+            })
+        })
+        .map(|&(path, what)| (view[k], path, what))
 }
 
 /// Display label for a fn: `Type::name` when it sits in an impl.
@@ -899,8 +839,7 @@ fn fn_label(f: &crate::index::FnItem) -> String {
 /// line, with one concrete call chain in the message.
 fn determinism_purity(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
     let files = ctx.files;
-    let crate_of = |fi: usize| files[fi].krate.clone();
-    let graph = CallGraph::build(ctx.index, ctx.lexed, &crate_of, PURITY_CRATES);
+    let graph = CallGraph::build(ctx.index, files, PURITY_CRATES);
 
     let mut roots = Vec::new();
     for (i, f) in graph.fns.iter().enumerate() {
@@ -920,22 +859,21 @@ fn determinism_purity(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
     let reached = graph.reach(&roots);
 
     // One finding per sink line; the first discovered chain wins.
-    let mut flagged: BTreeMap<(usize, usize), (String, &'static str)> = BTreeMap::new();
+    let mut flagged: BTreeMap<(usize, usize), (String, &str, &str)> = BTreeMap::new();
     for &i in reached.keys() {
         let f = graph.fns[i];
         if f.is_test {
             continue;
         }
-        let Some((from, to)) = f.body else {
+        let Some(body) = f.body else {
             continue;
         };
-        let toks = &ctx.lexed[f.file];
-        let view = code_view(&toks[from.min(toks.len())..to.min(toks.len())]);
+        let view = code_view(files[f.file].toks_in(body));
         for k in 0..view.len() {
-            let Some((tok, what)) = sink_at(&view, k) else {
+            let Some((tok, path, what)) = sink_at(&view, k) else {
                 continue;
             };
-            if ctx.in_test(f.file, tok.line) {
+            if files[f.file].is_test_line(tok.line) {
                 continue;
             }
             flagged.entry((f.file, tok.line)).or_insert_with(|| {
@@ -947,18 +885,18 @@ fn determinism_purity(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
                     at = *p;
                 }
                 chain.reverse();
-                (chain.join(" -> "), what)
+                (chain.join(" -> "), path, what)
             });
         }
     }
-    for ((fi, line), (chain, what)) in flagged {
+    for ((fi, line), (chain, path, what)) in flagged {
         push(
             out,
             "determinism-purity",
             &files[fi],
             line - 1,
             format!(
-                "{what} is reachable from the simulation hot path (chain: {chain}); \
+                "{what} (`{path}`) is reachable from the simulation hot path (chain: {chain}); \
                  keep the chain pure or justify with an allow"
             ),
         );
@@ -1007,7 +945,7 @@ fn atomic_ordering(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
         if !ATOMIC_FILES.contains(&file.rel.as_str()) {
             continue;
         }
-        let view = code_view(&ctx.lexed[fi]);
+        let view = code_view(&ctx.files[fi].toks);
         for k in 0..view.len() {
             let t = view[k];
             if t.kind != TokKind::Ident || !ATOMIC_METHODS.contains(&t.text.as_str()) {
@@ -1016,7 +954,7 @@ fn atomic_ordering(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
             let dotted = k > 0 && view[k - 1].kind == TokKind::Punct && view[k - 1].text == ".";
             let called =
                 matches!(view.get(k + 1), Some(n) if n.kind == TokKind::Punct && n.text == "(");
-            if !dotted || !called || ctx.in_test(fi, t.line) {
+            if !dotted || !called || ctx.files[fi].is_test_line(t.line) {
                 continue;
             }
             let field = k
@@ -1147,7 +1085,7 @@ fn probe_exhaustiveness(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
             if !file.is_lib {
                 continue;
             }
-            let view = code_view(&ctx.lexed[fi]);
+            let view = code_view(&ctx.files[fi].toks);
             check_event_matches(ctx, fi, &view, enum_name, &universe, out);
             if enum_name == "SimEvent" {
                 collect_constructions(ctx, fi, &view, enum_name, &mut constructed);
@@ -1197,7 +1135,7 @@ fn check_event_matches(
     let mut k = 0;
     while k < view.len() {
         let t = view[k];
-        if t.kind != TokKind::Ident || t.text != "match" || ctx.in_test(fi, t.line) {
+        if t.kind != TokKind::Ident || t.text != "match" || ctx.files[fi].is_test_line(t.line) {
             k += 1;
             continue;
         }
@@ -1304,7 +1242,7 @@ fn collect_constructions<'a>(
 ) {
     for k in 0..view.len() {
         let t = view[k];
-        if t.kind != TokKind::Ident || t.text != enum_name || ctx.in_test(fi, t.line) {
+        if t.kind != TokKind::Ident || t.text != enum_name || ctx.files[fi].is_test_line(t.line) {
             continue;
         }
         if !matches!(view.get(k + 1), Some(p) if p.kind == TokKind::Punct && p.text == "::") {
@@ -1367,8 +1305,7 @@ fn metric_name_drift(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
             continue;
         }
         for c in &ctx.index.files[fi].consts {
-            let (from, to) = c.value;
-            for t in &ctx.lexed[fi][from.min(ctx.lexed[fi].len())..to.min(ctx.lexed[fi].len())] {
+            for t in file.toks_in(c.value) {
                 if t.kind == TokKind::Str && t.text.starts_with("adc_") {
                     canonical.insert(t.text.clone());
                 }
@@ -1380,7 +1317,7 @@ fn metric_name_drift(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
             continue;
         }
         let const_ranges = &ctx.index.files[fi].consts;
-        for (ti, t) in ctx.lexed[fi].iter().enumerate() {
+        for (ti, t) in file.toks.iter().enumerate() {
             if t.kind != TokKind::Str || !t.text.starts_with("adc_") {
                 continue;
             }
@@ -1425,8 +1362,7 @@ fn metric_name_drift(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
             if !c.name.starts_with("SEG_") {
                 continue;
             }
-            let (from, to) = c.value;
-            for t in &ctx.lexed[fi][from.min(ctx.lexed[fi].len())..to.min(ctx.lexed[fi].len())] {
+            for t in file.toks_in(c.value) {
                 if t.kind == TokKind::Str && !t.text.is_empty() {
                     segments.insert(t.text.clone());
                 }
@@ -1441,7 +1377,7 @@ fn metric_name_drift(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
             continue;
         }
         let const_ranges = &ctx.index.files[fi].consts;
-        for (ti, t) in ctx.lexed[fi].iter().enumerate() {
+        for (ti, t) in file.toks.iter().enumerate() {
             if t.kind != TokKind::Str {
                 continue;
             }

@@ -1,13 +1,16 @@
 //! Source discovery and the per-line source model the rules run over.
 //!
-//! The scanner is deliberately *not* a Rust parser: it is a line/token
-//! model (in the spirit of rust-lang's `tidy`) that strips string-literal
-//! and comment *contents* out of the "code" view of each line, tracks
-//! which lines belong to `#[cfg(test)]` items, and records every comment
-//! so rules can check for suppressions and justification comments. That
-//! is enough precision for the workspace's rule set while keeping the
-//! crate dependency-free and fast.
+//! Each file is lexed exactly once (`lex::lex`); the token stream is
+//! kept on the [`SourceFile`] for the token-level rules, and every
+//! per-line view the line rules read is derived from it: the "code"
+//! view with comments removed and string/char literal *contents*
+//! blanked, the comment text (suppressions and justification comments
+//! live there), and which lines belong to `#[cfg(test)]` items. It is
+//! a line/token model in the spirit of rust-lang's `tidy`, not a Rust
+//! parser: enough precision for the workspace's rule set while keeping
+//! the crate dependency-free and fast.
 
+use crate::lex::{lex, Tok, TokKind};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -50,12 +53,36 @@ pub struct SourceFile {
     /// Whether this is library code: under `src/`, not under `src/bin/`
     /// and not a `main.rs`.
     pub is_lib: bool,
+    /// One entry per line of `text.lines()`, so line `i` is 1-based
+    /// line `i + 1` everywhere (findings, `--fix`).
     pub lines: Vec<SourceLine>,
+    /// The file's token stream; the per-line views derive from it.
+    pub toks: Vec<Tok>,
+}
+
+impl SourceFile {
+    /// Whether a 1-based line is test-only: inside a `#[cfg(test)]`
+    /// region, or anywhere in an integration-test file.
+    pub fn is_test_line(&self, line: usize) -> bool {
+        self.rel.contains("/tests/")
+            || self
+                .lines
+                .get(line.saturating_sub(1))
+                .is_some_and(|l| l.in_test)
+    }
+
+    /// The tokens in a half-open index range (clamped to the stream),
+    /// as the symbol index records item bodies and initializers.
+    pub fn toks_in(&self, (from, to): (usize, usize)) -> &[Tok] {
+        &self.toks[from.min(self.toks.len())..to.min(self.toks.len())]
+    }
 }
 
 /// Walks `root/crates/*/src` and `root/crates/*/tests` and returns
-/// every `.rs` file, sorted by relative path so output and JSON are
-/// stable across platforms. Integration-test files scan as non-library
+/// every `.rs` file outside `crates/adc-lint`, sorted by relative path
+/// so output and JSON are stable across platforms. The lint does not
+/// lint itself: its sources quote suppression syntax in docs and
+/// fixtures, and no rule scopes it anyway. Integration-test files scan as non-library
 /// (`is_lib == false`), so only the rules that opt into test code (the
 /// metric-name agreement check, suppression handling) see them.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
@@ -69,8 +96,8 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     crate_dirs.sort();
     for crate_dir in crate_dirs {
         let krate = match crate_dir.file_name().and_then(|n| n.to_str()) {
-            Some(name) => name.to_string(),
-            None => continue,
+            Some(name) if name != "adc-lint" => name.to_string(),
+            _ => continue,
         };
         let mut rs_files = Vec::new();
         for sub in ["src", "tests"] {
@@ -112,128 +139,61 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// Parses raw source text into the per-line model. Public so tests and
 /// fixtures can run rules over in-memory snippets.
 pub fn parse_source(rel: &str, krate: &str, is_lib: bool, text: &str) -> SourceFile {
-    let mut lines = split_code_and_comments(text);
-    mark_test_regions(&mut lines);
+    let toks = lex(text);
+    let mut lines = line_views(text, &toks);
+    for (first, last) in cfg_test_regions(&toks) {
+        for line in lines.iter_mut().take(last).skip(first - 1) {
+            line.in_test = true;
+        }
+    }
     SourceFile {
         rel: rel.to_string(),
         krate: krate.to_string(),
         is_lib,
         lines,
+        toks,
     }
 }
 
-/// Lexer state carried across lines.
-enum Mode {
-    Normal,
-    /// Inside a `/* */` comment, with nesting depth.
-    Block(u32),
-    /// Inside a normal string literal.
-    Str,
-    /// Inside a raw string literal closed by `"` plus this many `#`s.
-    RawStr(u32),
-}
-
-/// Splits every line into its code and comment views.
-fn split_code_and_comments(text: &str) -> Vec<SourceLine> {
+/// Builds one [`SourceLine`] per entry of `text.lines()` from the token
+/// stream: comment tokens feed the comment view (a multi-line block
+/// comment is split at its line breaks), a string literal becomes `""`
+/// (one quote on its first line, one on its last), a char literal
+/// becomes `' '`, and every other token and the whitespace between
+/// tokens is copied into the code view as-is.
+fn line_views(text: &str, toks: &[Tok]) -> Vec<SourceLine> {
     let mut out = Vec::new();
-    let mut mode = Mode::Normal;
+    let mut k = 0;
     for raw in text.lines() {
-        let bytes: Vec<char> = raw.chars().collect();
+        // `lines()` yields subslices of `text`, so the pointer difference
+        // is the line's byte offset; `to` excludes the line terminator.
+        let from = raw.as_ptr() as usize - text.as_ptr() as usize;
+        let to = from + raw.len();
         let mut code = String::new();
         let mut comment = String::new();
-        let mut i = 0;
-        while i < bytes.len() {
-            let c = bytes[i];
-            match mode {
-                Mode::Block(depth) => {
-                    comment.push(c);
-                    if c == '*' && bytes.get(i + 1) == Some(&'/') {
-                        comment.push('/');
-                        i += 1;
-                        mode = if depth > 1 {
-                            Mode::Block(depth - 1)
-                        } else {
-                            Mode::Normal
-                        };
-                    } else if c == '/' && bytes.get(i + 1) == Some(&'*') {
-                        comment.push('*');
-                        i += 1;
-                        mode = Mode::Block(depth + 1);
-                    }
-                }
-                Mode::Str => {
-                    if c == '\\' {
-                        i += 1; // skip the escaped character
-                    } else if c == '"' {
-                        code.push('"');
-                        mode = Mode::Normal;
-                    }
-                }
-                Mode::RawStr(hashes) => {
-                    if c == '"' {
-                        let mut n = 0;
-                        while n < hashes && bytes.get(i + 1 + n as usize) == Some(&'#') {
-                            n += 1;
-                        }
-                        if n == hashes {
-                            i += hashes as usize;
-                            code.push('"');
-                            mode = Mode::Normal;
-                        }
-                    }
-                }
-                Mode::Normal => {
-                    if c == '/' && bytes.get(i + 1) == Some(&'/') {
-                        comment.push_str(&raw[char_offset(raw, i)..]);
-                        break;
-                    } else if c == '/' && bytes.get(i + 1) == Some(&'*') {
-                        comment.push_str("/*");
-                        i += 1;
-                        mode = Mode::Block(1);
-                    } else if c == '"' {
-                        code.push('"');
-                        mode = Mode::Str;
-                    } else if c == 'r'
-                        && !prev_is_ident(&code)
-                        && matches!(bytes.get(i + 1), Some('"') | Some('#'))
-                    {
-                        // Possible raw string: r"..." or r#"..."#.
-                        let mut j = i + 1;
-                        let mut hashes = 0u32;
-                        while bytes.get(j) == Some(&'#') {
-                            hashes += 1;
-                            j += 1;
-                        }
-                        if bytes.get(j) == Some(&'"') {
-                            code.push('"');
-                            i = j;
-                            mode = Mode::RawStr(hashes);
-                        } else {
-                            code.push(c);
-                        }
-                    } else if c == '\'' {
-                        // Distinguish char literals from lifetimes.
-                        if bytes.get(i + 1) == Some(&'\\') {
-                            // Escaped char literal: skip to closing quote.
-                            let mut j = i + 2;
-                            while j < bytes.len() && bytes[j] != '\'' {
-                                j += 1;
-                            }
-                            code.push_str("' '");
-                            i = j;
-                        } else if bytes.get(i + 2) == Some(&'\'') {
-                            code.push_str("' '");
-                            i += 2;
-                        } else {
-                            code.push(c); // lifetime marker
-                        }
-                    } else {
-                        code.push(c);
-                    }
-                }
-            }
-            i += 1;
+        while toks.get(k).is_some_and(|t| t.end <= from) {
+            k += 1;
         }
+        let mut cursor = from;
+        for t in toks[k..].iter().take_while(|t| t.start < to) {
+            let (a, b) = (t.start.max(from), t.end.min(to));
+            code.push_str(&text[cursor..a]);
+            match t.kind {
+                TokKind::Comment => comment.push_str(&text[a..b]),
+                TokKind::Str => {
+                    if t.start >= from {
+                        code.push('"');
+                    }
+                    if t.end <= to {
+                        code.push('"');
+                    }
+                }
+                TokKind::Char => code.push_str("' '"),
+                _ => code.push_str(&text[a..b]),
+            }
+            cursor = b;
+        }
+        code.push_str(&text[cursor..to]);
         out.push(SourceLine {
             raw: raw.to_string(),
             code,
@@ -244,55 +204,56 @@ fn split_code_and_comments(text: &str) -> Vec<SourceLine> {
     out
 }
 
-/// Byte offset of the `i`-th char of `s` (lines are short; O(n) is fine).
-fn char_offset(s: &str, i: usize) -> usize {
-    s.char_indices().nth(i).map(|(o, _)| o).unwrap_or(s.len())
-}
-
-fn prev_is_ident(code: &str) -> bool {
-    code.chars()
-        .next_back()
-        .is_some_and(|c| c.is_alphanumeric() || c == '_')
-}
-
-/// Marks every line belonging to a `#[cfg(test)]` item by brace matching
-/// from the item that follows the attribute.
-fn mark_test_regions(lines: &mut [SourceLine]) {
-    let mut i = 0;
-    while i < lines.len() {
-        if lines[i].code.contains("#[cfg(test)]") || lines[i].code.contains("#[cfg(all(test") {
-            // Find the end of the annotated item: the matching close of
-            // the first `{` at or after the attribute (or the first `;`
-            // before any `{`, for `#[cfg(test)] use ...;`).
-            let mut depth: i32 = 0;
-            let mut opened = false;
-            let mut j = i;
-            while j < lines.len() {
-                for c in lines[j].code.chars() {
-                    match c {
-                        '{' => {
-                            depth += 1;
-                            opened = true;
-                        }
-                        '}' => depth -= 1,
-                        ';' if !opened && depth == 0 && j > i => {}
-                        _ => {}
-                    }
-                }
-                lines[j].in_test = true;
-                if opened && depth <= 0 {
-                    break;
-                }
-                if !opened && lines[j].code.contains(';') {
-                    break;
-                }
-                j += 1;
-            }
-            i = j + 1;
-        } else {
-            i += 1;
+/// 1-based inclusive line ranges of every `#[cfg(test)]` or
+/// `#[cfg(all(test, ...))]` item: from the attribute to the `}` closing
+/// the first `{` after it, or to the first `;` at depth 0 when no `{`
+/// comes first (`#[cfg(test)] use ...;`). Braces inside literals and
+/// comments are not punctuation tokens, so they cannot unbalance it.
+fn cfg_test_regions(toks: &[Tok]) -> Vec<(usize, usize)> {
+    let view: Vec<&Tok> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
+    let spells = |at: usize, words: &[&str]| {
+        words.iter().enumerate().all(|(o, w)| {
+            view.get(at + o)
+                .is_some_and(|t| matches!(t.kind, TokKind::Punct | TokKind::Ident) && t.text == *w)
+        })
+    };
+    let mut regions = Vec::new();
+    let mut k = 0;
+    while k < view.len() {
+        let attr = spells(k, &["#", "[", "cfg", "("])
+            && (spells(k + 4, &["test", ")"]) || spells(k + 4, &["all", "(", "test"]));
+        if !attr {
+            k += 1;
+            continue;
         }
+        let mut depth = 0i32;
+        let mut opened = false;
+        let mut end = view.len();
+        for (j, t) in view.iter().enumerate().skip(k) {
+            let closes = match (t.kind, t.text.as_str()) {
+                (TokKind::Punct, "{") => {
+                    depth += 1;
+                    opened = true;
+                    false
+                }
+                (TokKind::Punct, "}") => {
+                    depth -= 1;
+                    opened && depth <= 0
+                }
+                (TokKind::Punct, ";") => !opened && depth == 0,
+                _ => false,
+            };
+            if closes {
+                end = j;
+                break;
+            }
+        }
+        // An item left open at end of input runs to the last line.
+        let last = view.get(end).map_or(usize::MAX, |t| t.line);
+        regions.push((view[k].line, last));
+        k = end + 1;
     }
+    regions
 }
 
 #[cfg(test)]
@@ -316,12 +277,26 @@ mod tests {
         let f = parse("let x = r#\"unwrap() . \"#; let z = 2;");
         assert!(!f.lines[0].code.contains("unwrap"));
         assert!(f.lines[0].code.contains("let z = 2;"));
+        // A raw byte string ending in a backslash: the backslash escapes
+        // nothing, so the quote after it closes the literal.
+        let f = parse("let p = br\"dir\\\"; let m = HashMap::new();\nlet n = 1;");
+        assert_eq!(f.lines[0].code, "let p = \"\"; let m = HashMap::new();");
+        assert_eq!(f.lines[1].code, "let n = 1;");
+    }
+
+    #[test]
+    fn multi_line_strings_keep_one_quote_at_each_end() {
+        let f = parse("let s = \"HashMap\nunwrap()\nSystemTime\"; x();");
+        let code: Vec<&str> = f.lines.iter().map(|l| l.code.as_str()).collect();
+        assert_eq!(code, vec!["let s = \"", "", "\"; x();"]);
     }
 
     #[test]
     fn char_literals_do_not_open_strings() {
         let f = parse("let q = '\"'; let h = \"HashMap\";");
         assert!(!f.lines[0].code.contains("HashMap"));
+        let f = parse("let a = '\\''; let b = b'x'; let c = '{';");
+        assert_eq!(f.lines[0].code, "let a = ' '; let b = b' '; let c = ' ';");
     }
 
     #[test]
@@ -355,6 +330,40 @@ mod tests {
         assert!(f.lines[3].in_test);
         assert!(f.lines[4].in_test);
         assert!(!f.lines[5].in_test);
+    }
+
+    #[test]
+    fn cfg_test_use_ends_at_its_semicolon() {
+        let text = "#[cfg(test)]\nuse std::collections::HashMap;\npub fn a() {}\n\
+                    #[cfg(all(test, feature = \"x\"))] use y;\npub fn b() {}";
+        let f = parse(text);
+        let in_test: Vec<bool> = f.lines.iter().map(|l| l.in_test).collect();
+        assert_eq!(in_test, vec![true, true, false, true, false]);
+    }
+
+    #[test]
+    fn braces_in_literals_and_comments_do_not_unbalance_test_regions() {
+        let text = "#[cfg(test)]\nmod t {\n  const O: &str = \"{{\"; // }\n  const C: char = '}';\n}\nfn real() {}";
+        let f = parse(text);
+        assert!(f.lines[..5].iter().all(|l| l.in_test));
+        assert!(!f.lines[5].in_test);
+    }
+
+    #[test]
+    fn views_follow_text_lines_for_crlf_and_missing_final_newline() {
+        for text in [
+            "fn a() {} // one\r\n/* two\r\n three */ let b = \"s\";\r\nlet c = 3;",
+            "fn a() {} // one\n/* two\n three */ let b = \"s\";\nlet c = 3;\n",
+        ] {
+            let f = parse(text);
+            assert_eq!(f.lines.len(), text.lines().count());
+            let raw: Vec<&str> = f.lines.iter().map(|l| l.raw.as_str()).collect();
+            assert_eq!(raw, text.lines().collect::<Vec<_>>());
+            let code: Vec<&str> = f.lines.iter().map(|l| l.code.as_str()).collect();
+            assert_eq!(code, vec!["fn a() {} ", "", " let b = \"\";", "let c = 3;"]);
+            let comment: Vec<&str> = f.lines.iter().map(|l| l.comment.as_str()).collect();
+            assert_eq!(comment, vec!["// one", "/* two", " three */", ""]);
+        }
     }
 
     #[test]

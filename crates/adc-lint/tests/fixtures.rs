@@ -230,6 +230,23 @@ fn unknown_rule_in_allow_is_reported() {
     assert_eq!(rules_hit(&report), vec!["unused-allow"]);
 }
 
+/// A raw byte string ending in a backslash (`br"dir\"`) is closed by
+/// its quote: the backslash escapes nothing, so the code after it on
+/// the line and on every later line stays visible to the line rules.
+#[test]
+fn raw_byte_string_ending_in_backslash_keeps_later_code_visible() {
+    let text = "let p = br\"dir\\\"; let m = HashMap::<u8,u8>::new();\n\
+                fn f() { let t = std::time::Instant::now(); }\n";
+    let report = run_files(&[parse_source(
+        "crates/adc-core/src/x.rs",
+        "adc-core",
+        true,
+        text,
+    )]);
+    let hits: Vec<(&str, usize)> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(hits, vec![("default-hasher", 1), ("determinism", 2)]);
+}
+
 #[test]
 fn test_code_is_exempt_from_line_rules() {
     let text = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let v = vec![1]; let _ = v.first().unwrap(); }\n}\n";
